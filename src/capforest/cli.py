@@ -2,8 +2,9 @@
 
 Exit codes (stable contract): ``0`` solution found / inequality holds /
 oracles agree / sweep clean; ``1`` no solution exists (a verdict, not an
-error); ``2`` bad input; ``3`` internal disagreement between solver and
-oracles or a failed sweep (bug indicators).
+error); ``2`` bad input, including files that are not UTF-8; ``3``
+internal disagreement between solver and oracles, a failed sweep, or an
+:class:`InternalSolverError` (bug indicators).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .certificates import evaluate_condition, oracle_condition, oracle_forest_search
 from .engine import Found, Impossible, SolveVerdict, solve
-from .errors import CapforestError, InternalSolverError
+from .errors import CapforestError, InstanceParseError, InternalSolverError
 from .generators import GenSpec, generate
 from .graph import CapacityMap
 from .instance_io import (
@@ -34,16 +35,23 @@ EXIT_INPUT = 2
 EXIT_DISAGREE = 3
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceParseError(
+            f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
+        ) from exc
+
+
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"), source=path)
+    return parse_instance(_read_text(path), source=path)
 
 
 def _load_capacities(args, instance: Instance) -> CapacityMap:
     sidecar = None
     if args.caps:
-        sidecar = parse_capacity_file(
-            Path(args.caps).read_text(encoding="utf-8"), source=args.caps
-        )
+        sidecar = parse_capacity_file(_read_text(args.caps), source=args.caps)
     return resolve_capacities(instance, sidecar)
 
 
@@ -253,8 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InternalSolverError:
-        raise
+    except InternalSolverError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
     except (CapforestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

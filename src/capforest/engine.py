@@ -1,26 +1,28 @@
 """Maximum capacity-respecting forests and the exactly-m-components solver.
 
-The maximiser grows a forest one edge at a time. Each step searches an
-exchange structure over edge indices: swapping a forest edge for an outside
-edge is safe when it either preserves acyclicity (the forest edge lies on
-the unique forest path between the outside edge's endpoints) or preserves
-the per-color budgets (both edges carry the same fully-used color). A
-shortest chain of such swaps starting at an edge that joins two forest
-components and ending at an edge whose color still has spare budget makes
-the forest one edge larger; when no chain exists the forest has maximum
-size among all capacity-respecting forests of the host graph, which the
-exhaustive oracles in :mod:`capforest.certificates` cross-check at test
-scale.
+The maximiser starts from a greedy forest: edges in index order, each kept
+when it joins two components and its color has spare budget. It then grows
+the forest one edge at a time. Each step searches an exchange structure
+over edge indices: swapping a forest edge for an outside edge is safe when
+it either preserves acyclicity (the forest edge lies on the unique forest
+path between the outside edge's endpoints) or preserves the per-color
+budgets (both edges carry the same fully-used color). Forest paths come
+from rooting every component once per step and climbing from both
+endpoints to their lowest common ancestor. A shortest chain of such swaps
+starting at an edge that joins two forest components and ending at an edge
+whose color still has spare budget makes the forest one edge larger; when
+no chain exists the forest has maximum size among all capacity-respecting
+forests of the host graph, which the exhaustive oracles in
+:mod:`capforest.certificates` cross-check at test scale.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, Forest
+from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest
 
 if TYPE_CHECKING:
     from .certificates import Certificate
@@ -41,26 +43,6 @@ class Impossible:
 
 
 SolveVerdict = Found | Impossible
-
-
-def _forest_path_edges(adj, start: int, goal: int) -> list[int]:
-    # breadth-first walk; callers guarantee start and goal share a component
-    prev: dict[int, tuple[int, int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        if x == goal:
-            break
-        for y, idx in adj[x]:
-            if y not in prev:
-                prev[y] = (x, idx)
-                queue.append(y)
-    path = []
-    x = goal
-    while prev[x] is not None:
-        x, idx = prev[x]
-        path.append(idx)
-    return path
 
 
 class ExchangeGraph:
@@ -94,16 +76,40 @@ class ExchangeGraph:
             if spare(e.color):
                 self.sinks.add(i)
 
+        # Root every component at its label vertex; the forest path of an
+        # inside edge is then the two climbs from its endpoints to their
+        # lowest common ancestor.
         adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i in forest.members:
             e = g.edges[i]
             adj[e.u].append((e.v, i))
             adj[e.v].append((e.u, i))
-        self._arcs_from_member: dict[int, list[int]] = {i: [] for i in forest.members}
+        parent = list(range(g.n))
+        parent_edge = [-1] * g.n
+        depth = [0] * g.n
+        for root in range(g.n):
+            if forest.component_of(root) != root:
+                continue
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, idx in adj[x]:
+                    if y != parent[x]:
+                        parent[y] = x
+                        parent_edge[y] = idx
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
+
+        arcs: dict[int, list[int]] = {i: [] for i in forest.members}
         for i in inside:
             e = g.edges[i]
-            for member in _forest_path_edges(adj, e.u, e.v):
-                self._arcs_from_member[member].append(i)
+            a, b = e.u, e.v
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                arcs[parent_edge[a]].append(i)
+                a = parent[a]
+        self._arcs_from_member = arcs
 
         self._members_by_color: dict[str, list[int]] = {}
         for i in forest.members:
@@ -179,14 +185,39 @@ def augment_step(
     return bigger
 
 
+def _greedy_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
+    """Kruskal-style capacity-respecting forest, scanning edges by index.
+
+    An edge is kept when its color has spare budget and it joins two
+    components. This is exactly the forest that repeated augmentation from
+    the empty forest reaches through its length-0 paths: each such step
+    takes the smallest-index edge that is addable right now, and an edge
+    the scan rejects stays unaddable, because components only merge and
+    color counts only grow.
+    """
+    dsu = DisjointSet(g.n)
+    left: dict[str, int] = {}
+    kept = []
+    for i, (u, v, color) in enumerate(g.edges):
+        if color not in left:
+            left[color] = caps.cap(color)
+        # budget first: an edge rejected for its color must not be unioned
+        if left[color] and dsu.union(u, v):
+            left[color] -= 1
+            kept.append(i)
+    return Forest(g, tuple(kept))
+
+
 def maximize_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
     """Largest capacity-respecting forest of ``g``.
 
-    Starts from the empty forest, which always qualifies, and augments to a
-    fixpoint. The result has the maximum edge count (equivalently, the
-    minimum component count) over all capacity-respecting forests.
+    Starts from the greedy forest of :func:`_greedy_forest` and augments to
+    a fixpoint. The result has the maximum edge count (equivalently, the
+    minimum component count) over all capacity-respecting forests. It is
+    the very forest that augmenting from the empty forest reaches, because
+    the greedy pass equals that run's leading length-0 augmentations.
     """
-    forest = Forest.empty(g)
+    forest = _greedy_forest(g, caps)
     while (bigger := augment_step(g, caps, forest)) is not None:
         forest = bigger
     return forest

@@ -6,7 +6,8 @@ class CapforestError(Exception):
 
 
 class GraphConstructionError(CapforestError):
-    """Rejected edge list: loop, duplicate vertex pair, or id out of range."""
+    """Rejected edge list: loop, duplicate vertex pair, non-integer or
+    out-of-range vertex id."""
 
 
 class EmptyGraphError(CapforestError):

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import (
     EmptyGraphError,
     GraphConstructionError,
+    InternalSolverError,
     MissingCapacityError,
     PreconditionError,
 )
@@ -75,9 +76,14 @@ class ColoredGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphConstructionError("vertex count must be non-negative")
-        edges = tuple(Edge(int(u), int(v), str(c)) for u, v, c in self.edges)
+        edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
         seen: set[frozenset[int]] = set()
         for u, v, _color in edges:
+            # one exact type test per id: rejects floats and bools alike
+            if type(u) is not int or type(v) is not int:
+                raise GraphConstructionError(
+                    f"vertex ids must be integers, got ({u!r},{v!r})"
+                )
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphConstructionError(
                     f"edge ({u},{v}) out of range for n={self.n}"
@@ -120,7 +126,9 @@ class CapacityMap:
                 )
             assignments[str(color)] = cap
         if self.default is not None and (
-            not isinstance(self.default, int) or self.default < 0
+            not isinstance(self.default, int)
+            or isinstance(self.default, bool)
+            or self.default < 0
         ):
             raise PreconditionError("default capacity must be a non-negative integer")
         object.__setattr__(self, "assignments", assignments)
@@ -176,7 +184,11 @@ class Forest:
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_comp", tuple(comp))
         # edge count + component count must tile the vertex set exactly
-        assert len(label) == self.host.n - len(members)
+        if len(label) != self.host.n - len(members):
+            raise InternalSolverError(
+                f"{len(members)} edges left {len(label)} components "
+                f"on {self.host.n} vertices"
+            )
 
     @classmethod
     def empty(cls, host: ColoredGraph) -> Forest:

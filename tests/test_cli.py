@@ -72,6 +72,36 @@ class TestSolveCommand:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "nope.txt"), "-m", "1"]) == 2
 
+    def test_non_utf8_instance_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["solve", str(path), "-m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_non_utf8_caps_is_input_error(self, triangle_file, tmp_path, capsys):
+        sidecar = tmp_path / "caps.txt"
+        sidecar.write_bytes(b"\xff\xfe")
+        assert cli.main(["solve", triangle_file, "-m", "1", "--caps", str(sidecar)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(sidecar) in err
+        assert err.count("\n") == 1
+
+    def test_internal_error_exits_three(self, triangle_file, capsys, monkeypatch):
+        from capforest import InternalSolverError
+
+        def broken(g, caps, components):
+            raise InternalSolverError("augmentation produced an invalid forest")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        assert cli.main(["solve", triangle_file, "-m", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: augmentation produced an invalid forest\n"
+        )
+
     def test_target_out_of_range_is_input_error(self, triangle_file, capsys):
         assert cli.main(["solve", triangle_file, "-m", "9"]) == 2
 

@@ -16,6 +16,7 @@ from capforest import (
     prune_to_components,
     solve,
 )
+from capforest.engine import ExchangeGraph
 from capforest.sweeps import sample_solver_instance
 
 
@@ -33,6 +34,75 @@ def triangle():
 
 def square_aabb():
     return ColoredGraph(4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "b"), (3, 0, "b")])
+
+
+def gnp_instance(seed, n=30):
+    """Shuffled G(n, p), about one color per vertex with budgets 1 or 2, so
+    the greedy forest mostly falls short and exchanges are needed."""
+    rng = random.Random(f"gnp:{seed}")
+    p = rng.uniform(0.1, 0.4)
+    palette = [f"c{j}" for j in range(rng.randint(n // 2, n + 5))]
+    edges = [
+        (u, v, rng.choice(palette))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p
+    ]
+    rng.shuffle(edges)
+    caps = CapacityMap({c: rng.randint(1, 2) for c in palette})
+    return ColoredGraph(n, edges, palette=frozenset(palette)), caps
+
+
+def seeded_instances():
+    for index in range(300):
+        rng = random.Random(f"warm:{index}")
+        yield f"warm:{index}", *sample_solver_instance(rng)
+    for seed in range(8):
+        yield f"gnp:{seed}", *gnp_instance(seed)
+
+
+def cold_start(g, caps):
+    """Reference maximiser: augment from the empty forest to a fixpoint."""
+    forest = Forest.empty(g)
+    while (bigger := augment_step(g, caps, forest)) is not None:
+        forest = bigger
+    return forest
+
+
+def forest_path_arcs(g, forest):
+    """Member -> inside edges whose forest path uses it, by union-find.
+
+    Member ``m`` lies on the forest path of inside edge ``(u, v)`` exactly
+    when ``u`` and ``v`` fall into different components of the forest
+    without ``m``.
+    """
+
+    def labels(kept):
+        parent = list(range(g.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i in kept:
+            e = g.edges[i]
+            parent[find(e.u)] = find(e.v)
+        return [find(v) for v in range(g.n)]
+
+    members = set(forest.members)
+    whole = labels(members)
+    inside = [
+        i
+        for i, e in enumerate(g.edges)
+        if i not in members and whole[e.u] == whole[e.v]
+    ]
+    arcs = {}
+    for m in members:
+        cut = labels(members - {m})
+        arcs[m] = [i for i in inside if cut[g.edges[i].u] != cut[g.edges[i].v]]
+    return arcs
 
 
 class TestAugmentStep:
@@ -95,6 +165,67 @@ class TestMaximizeForest:
             assert maximize_forest(g, caps).size == helpers.min_max_bound(g, caps), (
                 f"minmax:{index}"
             )
+
+
+class TestWarmStart:
+    def test_equals_cold_start(self):
+        for key, g, caps in seeded_instances():
+            assert maximize_forest(g, caps).members == cold_start(g, caps).members, key
+
+    def test_zero_budget_color_is_never_used(self):
+        # a banned color never enters the forest, even on the first edge
+        g = ColoredGraph(3, [(0, 1, "z"), (0, 2, "a"), (1, 2, "b")])
+        caps = CapacityMap({"z": 0, "a": 1, "b": 1})
+        forest = maximize_forest(g, caps)
+        assert forest.members == (1, 2)
+        assert forest.members == cold_start(g, caps).members
+
+    def test_single_vertex(self):
+        g = ColoredGraph(1)
+        assert maximize_forest(g, CapacityMap.uniform(1)).members == ()
+        verdict = solve(g, CapacityMap.uniform(1), 1)
+        assert isinstance(verdict, Found) and verdict.forest.size == 0
+
+    def test_edgeless_graph(self):
+        g = ColoredGraph(4)
+        caps = CapacityMap.uniform(1)
+        assert maximize_forest(g, caps).members == ()
+        assert isinstance(solve(g, caps, 4), Found)
+        verdict = solve(g, caps, 1)
+        assert isinstance(verdict, Impossible)
+        assert verdict.certificate.violating == set()
+        assert verdict.certificate.omega_measured == 4
+
+
+class TestExchangeArcs:
+    def check(self, key, g, caps, forest):
+        graph = ExchangeGraph(g, caps, forest)
+        for m, expected in forest_path_arcs(g, forest).items():
+            assert sorted(graph._neighbors(m)) == expected, (key, m)
+
+    def test_arcs_match_union_find_oracle_along_augmentation(self):
+        for key, g, caps in seeded_instances():
+            forest = Forest.empty(g)
+            while forest is not None:
+                self.check(key, g, caps, forest)
+                forest = augment_step(g, caps, forest)
+
+    def test_arcs_on_random_spanning_forests(self):
+        # forests that no augmentation run visits, with budgets that never bind
+        caps = CapacityMap.uniform(10**6)
+        for seed in range(10):
+            g, _ = gnp_instance(seed, n=40)
+            rng = random.Random(f"spanning:{seed}")
+            order = list(range(g.edge_count))
+            rng.shuffle(order)
+            kept, forest = [], Forest.empty(g)
+            for i in order[: rng.randint(0, g.edge_count)]:
+                try:
+                    forest = Forest(g, (*kept, i))
+                except PreconditionError:
+                    continue
+                kept.append(i)
+            self.check(f"spanning:{seed}", g, caps, forest)
 
 
 class TestPrune:

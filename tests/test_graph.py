@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             ColoredGraph(2, [(0, 2, "a")])
 
+    @pytest.mark.parametrize("u, v", [(0, 1.7), (1.0, 2), (True, 2), (0, "1")])
+    def test_rejects_non_integer_vertex_ids(self, u, v):
+        with pytest.raises(GraphConstructionError):
+            ColoredGraph(3, [(u, v, "a")])
+
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(GraphConstructionError):
             ColoredGraph(-1)
@@ -154,6 +159,10 @@ class TestCapacityMap:
     def test_uniform(self):
         assert CapacityMap.uniform(1).cap("anything") == 1
 
+    def test_bool_default_rejected(self):
+        with pytest.raises(PreconditionError):
+            CapacityMap(default=True)
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(PreconditionError):
             CapacityMap({"a": -1})
@@ -188,6 +197,18 @@ class TestForest:
         forest = Forest.empty(triangle())
         assert forest.num_components == 3
         assert forest.color_counts() == {}
+
+    def test_broken_partition_is_an_internal_error(self, monkeypatch):
+        # the tiling check must raise, not assert, so it survives python -O
+        from capforest import InternalSolverError, graph
+
+        class NoMerge(graph.DisjointSet):
+            def union(self, a, b):
+                return True
+
+        monkeypatch.setattr(graph, "DisjointSet", NoMerge)
+        with pytest.raises(InternalSolverError):
+            Forest(triangle(), (0,))
 
     def test_host_mismatch_detected(self):
         forest = Forest.empty(triangle())
