@@ -15,8 +15,6 @@ from .bounds import (
 )
 from .certificates import (
     Certificate,
-    PeelState,
-    crossing_edges,
     evaluate_condition,
     extract_certificate,
     oracle_condition,
@@ -72,7 +70,6 @@ __all__ = [
     "InternalSolverError",
     "MissingCapacityError",
     "OracleLimitError",
-    "PeelState",
     "PreconditionError",
     "SolveVerdict",
     "augment_step",
@@ -80,7 +77,6 @@ __all__ = [
     "color_census",
     "complete_graph_threshold",
     "component_count",
-    "crossing_edges",
     "density_sufficient",
     "evaluate_condition",
     "exact_profile_forest",

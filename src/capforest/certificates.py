@@ -3,26 +3,30 @@
 When no qualifying forest exists, some color set ``R`` witnesses the
 failure: deleting every ``R``-colored edge leaves strictly more components
 than the target plus the total budget of ``R``, so no forest could bridge
-the gap. :func:`extract_certificate` finds such a set by peeling a maximum
-forest. The two oracle functions answer the same question by brute force
-and exist to cross-check the solver and the peel on small instances; they
-must stay independent of the augmenting-path machinery.
+the gap. :func:`extract_certificate` reads such a set off the solver's
+final exchange-graph search, the one that finds no augmenting path, and
+re-verifies it by deleting the colors and counting components. The two
+oracle functions answer the same question by brute force and exist to
+cross-check the solver on small instances; they must stay independent of
+the augmenting-path machinery.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .engine import augment_step
-from .errors import InternalSolverError, OracleLimitError, PreconditionError
-from .graph import (
-    CapacityMap,
-    ColoredGraph,
-    Forest,
-    component_count,
-    restrict_by_colors,
+from .errors import (
+    EmptyGraphError,
+    InternalSolverError,
+    OracleLimitError,
+    PreconditionError,
 )
+from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest
+
+if TYPE_CHECKING:
+    from .engine import ExchangeGraph
 
 
 def evaluate_condition(
@@ -35,7 +39,13 @@ def evaluate_condition(
     when ``remaining > budget``.
     """
     colors = set(colors)
-    remaining = component_count(restrict_by_colors(g, colors))
+    if g.n == 0:
+        raise EmptyGraphError("component count is undefined on zero vertices")
+    dsu = DisjointSet(g.n)
+    for u, v, color in g.edges:
+        if color not in colors:
+            dsu.union(u, v)
+    remaining = dsu.components
     budget = components + caps.total(colors)
     return remaining, budget
 
@@ -65,104 +75,39 @@ class Certificate:
         return sorted(self.violating)
 
 
-@dataclass(frozen=True)
-class PeelState:
-    """One stage of certificate peeling.
-
-    ``forbidden`` colors are locked out of the forest for good; ``active``
-    colors cross between forest components but still appear on forest
-    edges. Stage invariants: the two sets are disjoint, together they cover
-    exactly the crossing colors, and no forbidden color occurs in the
-    forest.
-    """
-
-    forest: Forest
-    forbidden: frozenset[str]
-    active: frozenset[str]
-
-    def verify(self) -> None:
-        """Check the stage invariants; any failure is a solver bug."""
-        crossing = crossing_colors(self.forest.host, self.forest)
-        if self.forbidden & self.active:
-            raise InternalSolverError("peel invariant: forbidden and active overlap")
-        if self.forbidden | self.active != crossing:
-            raise InternalSolverError("peel invariant: crossing colors not covered")
-        if self.forbidden & self.forest.colors():
-            raise InternalSolverError("peel invariant: forest uses a forbidden color")
-
-
-def crossing_edges(g: ColoredGraph, forest: Forest) -> list[int]:
-    """Indices of edges whose endpoints lie in different forest components.
-
-    Forest members never qualify (their endpoints share a component), so
-    the result is disjoint from ``forest.members``.
-    """
-    forest.require_host(g)
-    return [
-        i for i, e in enumerate(g.edges) if not forest.same_component(e.u, e.v)
-    ]
-
-
-def crossing_colors(g: ColoredGraph, forest: Forest) -> frozenset[str]:
-    return frozenset(g.edges[i].color for i in crossing_edges(g, forest))
-
-
 def extract_certificate(
-    g: ColoredGraph, caps: CapacityMap, components: int, max_forest: Forest
+    g: ColoredGraph, caps: CapacityMap, components: int, search: ExchangeGraph
 ) -> Certificate:
-    """Peel a maximum forest down to a violating color set.
+    """Read a violating color set off a search that found no augmenting path.
 
-    ``max_forest`` must be a maximum capacity-respecting forest that falls
-    short of ``n - components`` edges (both checked; maximality via a
-    residual augmentation attempt).
-
-    Crossing colors absent from the forest start out forbidden: maximality
-    forces their budget to zero, else the forest could grow by one crossing
-    edge. Each round locks the remaining crossing colors and deletes their
-    forest edges. Every deleted edge was at full budget (if some crossing
-    color had slack anywhere among equivalent forests, an exchange would
-    again yield a larger forest), so the component count stays at least one
-    ahead of the locked budget total plus the target. Once every crossing
-    color is locked, deleting the locked colors disconnects all former
-    components and the inequality is violated outright; rather than trust
-    this chain of reasoning, the result is re-verified by direct computation
-    before it is returned.
+    ``search`` must be an exchange graph of ``g`` and ``caps`` whose
+    :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` has
+    returned None, and its forest must fall short of ``n - components``
+    edges (both checked). The violating set is the colors of the outside
+    edges the search reached from the sources: by Edmonds' matroid
+    intersection min-max theorem the reached set is a minimum cut, so
+    deleting its colors leaves more components than the target plus their
+    budget. Rather than trust this, the set is re-verified by direct
+    computation, and :class:`Certificate` refuses it unless the inequality
+    is violated strictly.
     """
-    max_forest.require_host(g)
-    if max_forest.size >= g.n - components:
+    forest = search.forest
+    forest.require_host(g)
+    if forest.size >= g.n - components:
         raise PreconditionError(
             "forest already reaches the component target; nothing to certify"
         )
-    if augment_step(g, caps, max_forest) is not None:
+    if search.reached is None:
         raise PreconditionError(
-            "forest is not maximum; certificate extraction needs a maximum forest"
+            "the search has not come up empty; "
+            "certificate extraction needs a search on a maximum forest"
         )
-
-    forest = max_forest
-    forbidden = crossing_colors(g, forest) - forest.colors()
-    rounds = 0
-    while True:
-        state = PeelState(
-            forest, frozenset(forbidden), crossing_colors(g, forest) - forbidden
-        )
-        state.verify()
-        if not state.active:
-            break
-        rounds += 1
-        if rounds > len(g.palette) + 1:
-            raise InternalSolverError("peeling failed to terminate")
-        keep = tuple(
-            i for i in forest.members if g.edges[i].color not in state.active
-        )
-        forest = Forest(g, keep)
-        forbidden = forbidden | state.active
-
-    remaining, budget = evaluate_condition(g, caps, components, forbidden)
-    if remaining <= budget:
-        raise InternalSolverError(
-            "peeling produced a color set that does not violate the bound"
-        )
-    return Certificate(frozenset(forbidden), remaining, budget)
+    members = frozenset(forest.members)
+    violating = frozenset(
+        g.edges[i].color for i in search.reached if i not in members
+    )
+    remaining, budget = evaluate_condition(g, caps, components, violating)
+    return Certificate(violating, remaining, budget)
 
 
 def _lex_subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:

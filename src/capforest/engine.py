@@ -13,7 +13,8 @@ starting at an edge that joins two forest components and ending at an edge
 whose color still has spare budget makes the forest one edge larger; when
 no chain exists the forest has maximum size among all capacity-respecting
 forests of the host graph, which the exhaustive oracles in
-:mod:`capforest.certificates` cross-check at test scale.
+:mod:`capforest.certificates` cross-check at test scale, and the edges
+that last search reached yield the violating color set.
 """
 
 from __future__ import annotations
@@ -54,26 +55,33 @@ class ExchangeGraph:
     both is a zero-length augmenting path). Arcs run from a member edge to
     every outside edge whose forest path contains it, and from an outside
     edge with a fully-used color to the member edges of that color.
+
+    A search that finds no path leaves the nodes it reached in ``reached``;
+    the colors of the reached outside edges form a violating color set
+    (:func:`capforest.certificates.extract_certificate`).
     """
 
     def __init__(self, g: ColoredGraph, caps: CapacityMap, forest: Forest):
         counts = forest.color_counts()
         member_set = frozenset(forest.members)
-
-        def spare(color: str) -> bool:
-            return counts.get(color, 0) < caps.cap(color)
+        full = frozenset(
+            color
+            for color in {e.color for e in g.edges}
+            if counts.get(color, 0) >= caps.cap(color)
+        )
 
         self.sources: list[int] = []
         self.sinks: set[int] = set()
         inside: list[int] = []
-        for i, e in enumerate(g.edges):
+        same_component = forest.same_component
+        for i, (u, v, color) in enumerate(g.edges):
             if i in member_set:
                 continue
-            if forest.same_component(e.u, e.v):
+            if same_component(u, v):
                 inside.append(i)
             else:
                 self.sources.append(i)
-            if spare(e.color):
+            if color not in full:
                 self.sinks.add(i)
 
         # Root every component at its label vertex; the forest path of an
@@ -115,15 +123,17 @@ class ExchangeGraph:
         for i in forest.members:
             self._members_by_color.setdefault(g.edges[i].color, []).append(i)
 
+        self.forest = forest
+        self.reached: frozenset[int] | None = None
         self._edges = g.edges
         self._member_set = member_set
-        self._spare = spare
+        self._full = full
 
     def _neighbors(self, node: int) -> list[int]:
         if node in self._member_set:
             return self._arcs_from_member[node]
         color = self._edges[node].color
-        if self._spare(color):
+        if color not in self._full:
             return []  # the node is a sink; the search never continues past it
         return self._members_by_color.get(color, [])
 
@@ -131,7 +141,8 @@ class ExchangeGraph:
         """Shortest source-to-sink path, or None when the forest is maximum.
 
         Breadth-first, scanning each layer in increasing edge-index order,
-        so ties always resolve the same way.
+        so ties always resolve the same way. When no path exists, the nodes
+        reached from the sources are kept in ``reached``.
         """
         parent: dict[int, int | None] = {s: None for s in self.sources}
         layer = sorted(self.sources)
@@ -151,7 +162,31 @@ class ExchangeGraph:
                         parent[nb] = node
                         nxt.append(nb)
             layer = sorted(nxt)
+        self.reached = frozenset(parent)
         return None
+
+
+def _step(
+    g: ColoredGraph, caps: CapacityMap, forest: Forest
+) -> tuple[ExchangeGraph, Forest | None]:
+    """Search once from ``forest``; return the search and, when it found a
+    path, the forest one edge larger (validated as in :func:`augment_step`).
+    """
+    search = ExchangeGraph(g, caps, forest)
+    path = search.shortest_augmenting_path()
+    if path is None:
+        return search, None
+    new_members = frozenset(forest.members).symmetric_difference(path)
+    try:
+        bigger = Forest(g, tuple(sorted(new_members)))
+    except PreconditionError as exc:
+        raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
+    counts = bigger.color_counts()
+    if bigger.size != forest.size + 1 or any(
+        count > caps.cap(color) for color, count in counts.items()
+    ):
+        raise InternalSolverError("augmentation produced an invalid forest")
+    return search, bigger
 
 
 def augment_step(
@@ -169,20 +204,7 @@ def augment_step(
             raise PreconditionError(
                 f"forest already exceeds the capacity of color {color!r}"
             )
-    path = ExchangeGraph(g, caps, forest).shortest_augmenting_path()
-    if path is None:
-        return None
-    new_members = frozenset(forest.members).symmetric_difference(path)
-    try:
-        bigger = Forest(g, tuple(sorted(new_members)))
-    except PreconditionError as exc:
-        raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
-    counts = bigger.color_counts()
-    if bigger.size != forest.size + 1 or any(
-        count > caps.cap(color) for color, count in counts.items()
-    ):
-        raise InternalSolverError("augmentation produced an invalid forest")
-    return bigger
+    return _step(g, caps, forest)[1]
 
 
 def _greedy_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
@@ -208,6 +230,20 @@ def _greedy_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
     return Forest(g, tuple(kept))
 
 
+def _final_search(g: ColoredGraph, caps: CapacityMap) -> ExchangeGraph:
+    """The search that finds no augmenting path, run on a maximum forest.
+
+    Starts from the greedy forest of :func:`_greedy_forest` and augments to
+    a fixpoint; the returned search holds that forest and what it reached.
+    """
+    forest = _greedy_forest(g, caps)
+    while True:
+        search, bigger = _step(g, caps, forest)
+        if bigger is None:
+            return search
+        forest = bigger
+
+
 def maximize_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
     """Largest capacity-respecting forest of ``g``.
 
@@ -217,10 +253,7 @@ def maximize_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
     the very forest that augmenting from the empty forest reaches, because
     the greedy pass equals that run's leading length-0 augmentations.
     """
-    forest = _greedy_forest(g, caps)
-    while (bigger := augment_step(g, caps, forest)) is not None:
-        forest = bigger
-    return forest
+    return _final_search(g, caps).forest
 
 
 def prune_to_components(forest: Forest, components: int) -> Forest:
@@ -250,18 +283,19 @@ def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> SolveVerdict:
 
     Returns :class:`Found` with such a forest when one exists, otherwise
     :class:`Impossible` with a violating color set that proves there is
-    none. ``components`` must lie in ``1..n``.
+    none. ``components`` must lie in ``1..n``. The violating color set is
+    read off the final search, the one that finds no augmenting path.
     """
     if not 1 <= components <= g.n:
         raise PreconditionError(
             f"component count must be in 1..{g.n}, got {components}"
         )
-    best = maximize_forest(g, caps)
-    if best.size >= g.n - components:
-        return Found(prune_to_components(best, components))
+    search = _final_search(g, caps)
+    if search.forest.size >= g.n - components:
+        return Found(prune_to_components(search.forest, components))
     from .certificates import extract_certificate
 
-    return Impossible(extract_certificate(g, caps, components, best))
+    return Impossible(extract_certificate(g, caps, components, search))
 
 
 def exact_profile_forest(

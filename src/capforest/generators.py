@@ -16,6 +16,9 @@ from .graph import CapacityMap, ColoredGraph, color_census
 
 MODELS = ("gnp", "complete", "complete_factorized")
 COLORINGS = ("uniform", "k_bounded", "capped")
+# Every model visits all n(n-1)/2 vertex pairs; 2000 vertices is about two
+# million pairs, which ``complete`` holds in memory at once.
+MAX_VERTICES = 2000
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,15 @@ def generate(spec: GenSpec) -> ColoredGraph:
     """Build the graph described by ``spec``; same spec, same graph, always.
 
     The declared palette covers every color the recipe could have used,
-    which may exceed the colors actually present.
+    which may exceed the colors actually present. Specs with more than
+    ``MAX_VERTICES`` vertices are refused before anything is allocated.
     """
     if spec.n < 0:
         raise PreconditionError("vertex count must be non-negative")
+    if spec.n > MAX_VERTICES:
+        raise PreconditionError(
+            f"vertex count {spec.n} exceeds the generator limit of {MAX_VERTICES}"
+        )
     if spec.model == "complete_factorized":
         return _factorized_complete(spec)
     rng = random.Random(spec.seed)

@@ -76,21 +76,22 @@ class ColoredGraph:
     def __post_init__(self):
         if self.n < 0:
             raise GraphConstructionError("vertex count must be non-negative")
+        n = self.n
         edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
-        seen: set[frozenset[int]] = set()
+        seen: set[int] = set()  # pair {u, v} keyed as min * n + max
         for u, v, _color in edges:
             # one exact type test per id: rejects floats and bools alike
             if type(u) is not int or type(v) is not int:
                 raise GraphConstructionError(
                     f"vertex ids must be integers, got ({u!r},{v!r})"
                 )
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphConstructionError(
-                    f"edge ({u},{v}) out of range for n={self.n}"
+                    f"edge ({u},{v}) out of range for n={n}"
                 )
             if u == v:
                 raise GraphConstructionError(f"loop at vertex {u}")
-            pair = frozenset((u, v))
+            pair = u * n + v if u < v else v * n + u
             if pair in seen:
                 raise GraphConstructionError(f"duplicate edge {{{u},{v}}}")
             seen.add(pair)

@@ -1,10 +1,12 @@
 """Plain-text instance files and capacity sidecars.
 
-Instance format, one directive per line; ``#`` starts a comment and blank
-lines are ignored::
+Instance format, one directive per line; a token that begins with ``#``
+starts a comment running to the end of the line, and blank lines are
+ignored::
 
     graph <n>            vertex count; required, exactly once, before edges
     e <u> <v> <color>    one edge; u, v in 0..n-1, color any bare token
+                         not beginning with ``#``
     f <color> <cap>      capacity for one color
     fdefault <cap>       capacity for colors without an explicit entry
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InstanceParseError
+from .errors import InstanceParseError, PreconditionError
 from .graph import CapacityMap, ColoredGraph, Forest
 
 
@@ -45,21 +47,61 @@ def _capacity_field(token: str, where: str) -> int:
     return value
 
 
+def _strip_comment(fields: list[str]) -> list[str]:
+    """The tokens before the first one that begins with ``#``."""
+    for k, token in enumerate(fields):
+        if token.startswith("#"):
+            return fields[:k]
+    return fields
+
+
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
     """Parse instance text; errors carry ``source:line``."""
     n: int | None = None
     edges: list[tuple[int, int, str]] = []
-    pairs: set[frozenset[int]] = set()
+    pairs: set[int] = set()  # pair {u, v} keyed as min * n + max
     caps: dict[str, int] = {}
     default: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if "#" in raw:
+            fields = _strip_comment(fields)
+        if not fields:
+            continue
+        word = fields[0]
+        if word == "e":
+            # the bulk of every file: error messages are built only on failure
+            if n is None:
+                raise InstanceParseError(
+                    f"{source}:{lineno}: edge before 'graph' header"
+                )
+            if len(fields) != 4:
+                raise InstanceParseError(
+                    f"{source}:{lineno}: expected 'e <u> <v> <color>'"
+                )
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                where = f"{source}:{lineno}"
+                u = _int_field(fields[1], "vertex id", where)
+                v = _int_field(fields[2], "vertex id", where)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InstanceParseError(
+                    f"{source}:{lineno}: vertex out of range 0..{n - 1}"
+                )
+            if u == v:
+                raise InstanceParseError(f"{source}:{lineno}: loop at vertex {u}")
+            pair = u * n + v if u < v else v * n + u
+            if pair in pairs:
+                raise InstanceParseError(
+                    f"{source}:{lineno}: duplicate edge {{{u},{v}}}"
+                )
+            pairs.add(pair)
+            edges.append((u, v, fields[3]))
             continue
         where = f"{source}:{lineno}"
-        fields = line.split()
-        word, args = fields[0], fields[1:]
+        args = fields[1:]
         if word == "graph":
             if n is not None:
                 raise InstanceParseError(f"{where}: duplicate 'graph' header")
@@ -68,24 +110,6 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
             n = _int_field(args[0], "vertex count", where)
             if n < 0:
                 raise InstanceParseError(f"{where}: vertex count must be non-negative")
-        elif word == "e":
-            if n is None:
-                raise InstanceParseError(f"{where}: edge before 'graph' header")
-            if len(args) != 3:
-                raise InstanceParseError(f"{where}: expected 'e <u> <v> <color>'")
-            u = _int_field(args[0], "vertex id", where)
-            v = _int_field(args[1], "vertex id", where)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InstanceParseError(
-                    f"{where}: vertex out of range 0..{n - 1}"
-                )
-            if u == v:
-                raise InstanceParseError(f"{where}: loop at vertex {u}")
-            pair = frozenset((u, v))
-            if pair in pairs:
-                raise InstanceParseError(f"{where}: duplicate edge {{{u},{v}}}")
-            pairs.add(pair)
-            edges.append((u, v, args[2]))
         elif word == "f":
             if len(args) != 2:
                 raise InstanceParseError(f"{where}: expected 'f <color> <cap>'")
@@ -116,11 +140,10 @@ def parse_capacity_file(
     caps: dict[str, int] = {}
     default: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = _strip_comment(raw.split())
+        if not fields:
             continue
         where = f"{source}:{lineno}"
-        fields = line.split()
         word, args = fields[0], fields[1:]
         if word == "f":
             if len(args) != 2:
@@ -166,8 +189,15 @@ def emit_instance(
     """Render a graph (and optional capacities) back to instance text.
 
     Re-parsing the output reproduces the same vertex count, the same edge
-    list in the same order, and the same capacities.
+    list in the same order, and the same capacities. A color that would not
+    read back as one token (empty, containing whitespace, or starting a
+    comment) is refused.
     """
+    for color in {e.color for e in graph.edges}.union(capacities or ()):
+        if color.split() != [color] or color.startswith("#"):
+            raise PreconditionError(
+                f"color {color!r} cannot be written as a bare token"
+            )
     lines = [f"graph {graph.n}"]
     if default_capacity is not None:
         lines.append(f"fdefault {default_capacity}")

@@ -7,21 +7,23 @@ from capforest import (
     CapacityMap,
     Certificate,
     ColoredGraph,
+    EmptyGraphError,
     Forest,
     Found,
     Impossible,
     InternalSolverError,
     OracleLimitError,
-    PeelState,
     PreconditionError,
-    crossing_edges,
+    component_count,
     evaluate_condition,
     extract_certificate,
     maximize_forest,
     oracle_condition,
     oracle_forest_search,
+    restrict_by_colors,
     solve,
 )
+from capforest.engine import ExchangeGraph
 from capforest.sweeps import oracle_agreement_holds, sample_solver_instance
 
 
@@ -37,36 +39,25 @@ def square_aabb():
     return ColoredGraph(4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "b"), (3, 0, "b")])
 
 
-class TestCrossingEdges:
-    def test_spanning_tree_has_none(self):
-        g = triangle()
-        assert crossing_edges(g, Forest(g, (0, 1))) == []
-
-    def test_empty_forest_crosses_everything(self):
-        g = triangle()
-        assert crossing_edges(g, Forest.empty(g)) == [0, 1, 2]
-
-    def test_partial_forest(self):
-        g = path_aa()
-        assert crossing_edges(g, Forest(g, (0,))) == [1]
-
-    def test_host_mismatch(self):
-        with pytest.raises(PreconditionError):
-            crossing_edges(triangle(), Forest.empty(path_aa()))
+def final_search(g, caps):
+    """The failed search on a maximum forest, as ``solve`` hands it over."""
+    search = ExchangeGraph(g, caps, maximize_forest(g, caps))
+    assert search.shortest_augmenting_path() is None
+    return search
 
 
 class TestExtractCertificate:
     def test_two_step_peel_on_one_color_path(self):
         g = path_aa()
         caps = CapacityMap({"a": 1})
-        cert = extract_certificate(g, caps, 1, maximize_forest(g, caps))
+        cert = extract_certificate(g, caps, 1, final_search(g, caps))
         assert cert.violating == {"a"}
         assert cert.omega_measured == 3 and cert.bound == 2
 
     def test_square_peels_both_colors(self):
         g = square_aabb()
         caps = CapacityMap.uniform(1)
-        cert = extract_certificate(g, caps, 1, maximize_forest(g, caps))
+        cert = extract_certificate(g, caps, 1, final_search(g, caps))
         assert cert.violating == {"a", "b"}
         assert cert.omega_measured == 4 and cert.bound == 3
         # brute force: {a, b} is the only violating subset on this instance
@@ -81,40 +72,75 @@ class TestExtractCertificate:
     def test_disconnected_graph_yields_empty_color_set(self):
         g = ColoredGraph(3, [(0, 1, "a")])
         caps = CapacityMap({"a": 1})
-        cert = extract_certificate(g, caps, 1, maximize_forest(g, caps))
+        cert = extract_certificate(g, caps, 1, final_search(g, caps))
         assert cert.violating == frozenset()
         assert cert.omega_measured == 2 and cert.bound == 1
 
     def test_rejects_non_maximum_forest(self):
         g = square_aabb()
         caps = CapacityMap({"a": 1, "b": 1})
+        search = ExchangeGraph(g, caps, Forest.empty(g))
+        assert search.shortest_augmenting_path() is not None
         with pytest.raises(PreconditionError):
-            extract_certificate(g, caps, 1, Forest.empty(g))
+            extract_certificate(g, caps, 1, search)
+
+    def test_rejects_search_that_never_ran(self):
+        g = path_aa()
+        caps = CapacityMap({"a": 1})
+        search = ExchangeGraph(g, caps, maximize_forest(g, caps))
+        with pytest.raises(PreconditionError):
+            extract_certificate(g, caps, 1, search)
 
     def test_rejects_forest_that_already_reaches_target(self):
         g = triangle()
         caps = CapacityMap.uniform(1)
         with pytest.raises(PreconditionError):
-            extract_certificate(g, caps, 1, maximize_forest(g, caps))
+            extract_certificate(g, caps, 1, final_search(g, caps))
 
+    def test_rejects_search_on_another_host(self):
+        caps = CapacityMap.uniform(1)
+        with pytest.raises(PreconditionError):
+            extract_certificate(triangle(), caps, 1, final_search(path_aa(), caps))
 
-class TestPeelState:
-    def test_invariants_accept_consistent_state(self):
-        g = path_aa()
-        forest = Forest(g, (0,))
-        PeelState(forest, frozenset(), frozenset({"a"})).verify()
+    def test_impossible_solve_builds_one_exchange_graph_per_augmentation_plus_one(
+        self, monkeypatch
+    ):
+        builds, paths = [], []
+        build = ExchangeGraph.__init__
+        search = ExchangeGraph.shortest_augmenting_path
 
-    def test_overlap_rejected(self):
-        g = path_aa()
-        state = PeelState(Forest(g, (0,)), frozenset({"a"}), frozenset({"a"}))
-        with pytest.raises(InternalSolverError):
-            state.verify()
+        def counted_build(self, *args):
+            builds.append(1)
+            build(self, *args)
 
-    def test_forbidden_color_in_forest_rejected(self):
-        g = path_aa()
-        state = PeelState(Forest(g, (0,)), frozenset({"a"}), frozenset())
-        with pytest.raises(InternalSolverError):
-            state.verify()
+        def counted_search(self):
+            path = search(self)
+            paths.append(path)
+            return path
+
+        monkeypatch.setattr(ExchangeGraph, "__init__", counted_build)
+        monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", counted_search)
+        augmented = 0
+        for seed in range(20):
+            # shuffled G(30, 0.2) on 15 colors with budgets 1-2: too little
+            # budget for a tree, and the greedy forest often falls short
+            rng = random.Random(f"builds:{seed}")
+            palette = [f"c{j}" for j in range(15)]
+            edges = [
+                (u, v, rng.choice(palette))
+                for u in range(30)
+                for v in range(u + 1, 30)
+                if rng.random() < 0.2
+            ]
+            rng.shuffle(edges)
+            caps = CapacityMap({c: rng.randint(1, 2) for c in palette})
+            builds.clear()
+            paths.clear()
+            assert isinstance(solve(ColoredGraph(30, edges), caps, 1), Impossible)
+            augmentations = sum(path is not None for path in paths)
+            assert len(builds) == len(paths) == augmentations + 1, seed
+            augmented += augmentations > 0
+        assert augmented >= 5
 
 
 class TestCertificate:
@@ -186,6 +212,21 @@ class TestEvaluateCondition:
             remaining, budget = evaluate_condition(g, caps, 1, subset)
             assert remaining == helpers.components_without_colors(g, subset)
             assert budget == 1 + sum(caps.cap(c) for c in subset)
+
+    def test_matches_counting_on_the_restricted_graph(self):
+        for index in range(300):
+            rng = random.Random(f"evaluate:{index}")
+            g, caps = sample_solver_instance(rng)
+            for _ in range(5):
+                colors = {c for c in g.palette if rng.random() < 0.5}
+                m = rng.randint(1, g.n)
+                remaining, budget = evaluate_condition(g, caps, m, colors)
+                assert remaining == component_count(restrict_by_colors(g, colors))
+                assert budget == m + caps.total(colors)
+
+    def test_empty_graph_has_no_component_count(self):
+        with pytest.raises(EmptyGraphError):
+            evaluate_condition(ColoredGraph(0), CapacityMap.uniform(1), 1, ())
 
 
 class TestAgreementSweep:

@@ -168,6 +168,62 @@ class TestOracleCommand:
         assert "DISAGREE" in capsys.readouterr().out
 
 
+# Impossible instances and their `solve -m 1 --json` bytes, frozen from the
+# solver that peeled a maximum forest; the violating set read off the final
+# search must match them byte for byte.
+IMPOSSIBLE_GOLDEN = [
+    (  # budget-0 color c0
+        "graph 7\nf c0 0\nf c1 2\nf c2 3\ne 0 3 c0\ne 0 4 c1\ne 0 5 c1\n"
+        "e 1 4 c0\ne 1 6 c2\ne 2 3 c1\ne 2 5 c1\ne 2 6 c0\ne 3 6 c0\n"
+        "e 4 6 c0\ne 5 6 c0\n",
+        '{"bound": 3, "exists": false, "omega": 6, "violating_colors": ["c0", "c1"]}\n',
+    ),
+    (  # two budget-0 colors, one color left out of the set
+        "graph 7\nf c0 1\nf c1 0\nf c2 3\nf c3 0\ne 0 1 c2\ne 0 3 c0\n"
+        "e 0 6 c3\ne 1 2 c1\ne 1 3 c0\ne 1 5 c3\ne 1 6 c2\ne 2 4 c0\n"
+        "e 2 5 c0\ne 2 6 c1\ne 3 4 c0\ne 3 5 c2\ne 4 6 c0\n",
+        '{"bound": 2, "exists": false, "omega": 4, "violating_colors": ["c0", "c1", "c3"]}\n',
+    ),
+    (
+        "graph 7\nf c0 1\nf c1 2\nf c2 1\nf c3 3\ne 0 2 c1\ne 0 5 c3\n"
+        "e 0 6 c2\ne 1 2 c0\ne 1 4 c0\ne 1 6 c2\ne 2 3 c0\ne 3 4 c3\n",
+        '{"bound": 3, "exists": false, "omega": 4, "violating_colors": ["c0", "c2"]}\n',
+    ),
+    (
+        "graph 7\nf c0 2\nf c1 1\nf c2 1\nf c3 2\ne 0 1 c1\ne 0 2 c2\n"
+        "e 0 5 c2\ne 1 4 c3\ne 1 5 c1\ne 1 6 c2\ne 2 3 c1\ne 2 4 c1\n"
+        "e 2 5 c2\ne 2 6 c2\ne 3 4 c2\ne 3 6 c3\ne 4 5 c3\n",
+        '{"bound": 5, "exists": false, "omega": 7, "violating_colors": ["c1", "c2", "c3"]}\n',
+    ),
+    (  # disconnected: the empty set violates
+        "graph 6\nf c0 3\nf c1 3\nf c2 2\nf c3 2\ne 0 1 c0\ne 0 2 c0\n"
+        "e 0 4 c3\ne 0 5 c2\ne 1 4 c0\ne 1 5 c0\ne 2 4 c1\ne 4 5 c2\n",
+        '{"bound": 1, "exists": false, "omega": 2, "violating_colors": []}\n',
+    ),
+]
+
+
+class TestSolveGoldenImpossible:
+    @pytest.mark.parametrize("text, expected", IMPOSSIBLE_GOLDEN)
+    def test_small_instances(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert cli.main(["solve", str(path), "-m", "1", "--json"]) == 1
+        assert capsys.readouterr().out == expected
+
+    def test_generated_instance_with_a_sidecar(self, tmp_path, capsys):
+        inst, caps = tmp_path / "g.txt", tmp_path / "g.caps"
+        assert cli.main(["gen", "--model", "gnp", "--n", "30", "--p", "0.2",
+                         "--colors", "12", "--seed", "5", "--out", str(inst)]) == 0
+        caps.write_text("fdefault 3\nf c0 0\nf c1 1\nf c2 1\nf c3 0\n")
+        args = ["solve", str(inst), "-m", "1", "--caps", str(caps), "--json"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().out == (
+            '{"bound": 21, "exists": false, "omega": 26, "violating_colors": '
+            '["c0", "c1", "c10", "c11", "c2", "c3", "c4", "c5", "c6", "c7"]}\n'
+        )
+
+
 class TestGenCommand:
     def test_factorized_k4(self, capsys):
         assert cli.main(["gen", "--model", "complete-factorized", "--n", "4"]) == 0
@@ -209,6 +265,18 @@ class TestGenCommand:
         inst = parse_instance(out.read_text())
         again = parse_instance(out.read_text())
         assert inst.graph == again.graph
+
+    def test_vertex_limit_is_input_error(self, capsys):
+        from capforest.generators import MAX_VERTICES
+
+        args = ["gen", "--model", "complete", "--n", str(MAX_VERTICES + 1)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: vertex count {MAX_VERTICES + 1} exceeds the generator "
+            f"limit of {MAX_VERTICES}\n"
+        )
 
     def test_infeasible_spec_is_input_error(self, capsys):
         args = ["gen", "--model", "complete", "--n", "6", "--colors", "2", "--k", "1"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from capforest import (
@@ -9,7 +11,7 @@ from capforest import (
     respects_capacities,
     solve,
 )
-from capforest.generators import GenSpec, generate
+from capforest.generators import MAX_VERTICES, GenSpec, generate
 
 
 class TestDeterminism:
@@ -32,6 +34,26 @@ class TestDeterminism:
             (0, 2, "c0"),
             (1, 2, "c1"),
         ]
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(seed=0, n=MAX_VERTICES + 1, model="complete", palette_size=1),
+            GenSpec(seed=0, n=MAX_VERTICES + 1, model="gnp", p=1.0, palette_size=1),
+            GenSpec(seed=0, n=MAX_VERTICES + 2, model="complete_factorized", coloring=None),
+        ],
+    )
+    def test_one_past_the_limit_is_refused_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="generator limit"):
+                generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # bytes; the pairs alone would take hundreds of MB
 
 
 class TestModels:

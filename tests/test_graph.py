@@ -61,6 +61,29 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError):
             ColoredGraph(3, [(u, v, "a")])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, "a"), (1, 0, "b")], "duplicate edge {1,0}"),
+            ([(0, 2, "a"), (0, 2, "a")], "duplicate edge {0,2}"),
+            ([(1, 1, "a")], "loop at vertex 1"),
+            ([(0, 3, "a")], "edge (0,3) out of range for n=3"),
+            ([(-1, 0, "a")], "edge (-1,0) out of range for n=3"),
+            ([(0, 1.0, "a")], "vertex ids must be integers, got (0,1.0)"),
+            ([(True, 2, "a")], "vertex ids must be integers, got (True,2)"),
+        ],
+    )
+    def test_rejection_messages(self, edges, message):
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(3, edges)
+        assert str(info.value) == message
+
+    def test_every_pair_once_is_accepted(self):
+        # the duplicate key min * n + max must not collide across pairs
+        n = 7
+        pairs = [(v, u, "a") for u in range(n) for v in range(u + 1, n)]
+        assert ColoredGraph(n, pairs).edge_count == n * (n - 1) // 2
+
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(GraphConstructionError):
             ColoredGraph(-1)

@@ -1,6 +1,14 @@
+from pathlib import Path
+
 import pytest
 
-from capforest import ColoredGraph, Forest, InstanceParseError
+from capforest import (
+    ColoredGraph,
+    Forest,
+    InstanceParseError,
+    PreconditionError,
+    cli,
+)
 from capforest.instance_io import (
     emit_instance,
     graph_to_dot,
@@ -78,6 +86,70 @@ class TestParseInstance:
             parse_instance("graph 2\ne zero 1 a\n")
 
 
+    def test_trailing_comments_are_stripped(self):
+        inst = parse_instance("graph 3  # three\ne 0 1 a # first\nf a 1 #\n")
+        assert inst.graph.n == 3
+        assert [tuple(e) for e in inst.graph.edges] == [(0, 1, "a")]
+        assert inst.capacities == {"a": 1}
+
+    def test_hash_inside_a_token_is_not_a_comment(self):
+        inst = parse_instance("graph 2\ne 0 1 a#b\nf a#b 2\n")
+        assert inst.graph.edges[0].color == "a#b"
+        assert inst.capacities == {"a#b": 2}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph 3\ne 0 1 a\ne 1 0 b\n", "f.txt:3: duplicate edge {1,0}"),
+            ("graph 3\ne x 1 a\n", "f.txt:2: vertex id must be an integer, got 'x'"),
+            ("graph 3\ne 0 1.5 a\n", "f.txt:2: vertex id must be an integer, got '1.5'"),
+            ("graph 3\ne 0 3 a\n", "f.txt:2: vertex out of range 0..2"),
+            ("graph 3\ne -1 2 a\n", "f.txt:2: vertex out of range 0..2"),
+            ("graph 3\ne 2 2 a\n", "f.txt:2: loop at vertex 2"),
+            ("graph 3\ne 0 1\n", "f.txt:2: expected 'e <u> <v> <color>'"),
+            ("graph 3\ne 0 1 a b\n", "f.txt:2: expected 'e <u> <v> <color>'"),
+            ("# c\ne 0 1 a\ngraph 3\n", "f.txt:2: edge before 'graph' header"),
+            ("e 0 1\ngraph 3\n", "f.txt:1: edge before 'graph' header"),
+        ],
+    )
+    def test_bad_edge_line_messages(self, text, message):
+        with pytest.raises(InstanceParseError) as info:
+            parse_instance(text, source="f.txt")
+        assert str(info.value) == message
+
+    def test_every_pair_once_is_accepted(self):
+        # the duplicate key min * n + max must not collide across pairs
+        n = 7
+        lines = [f"e {u} {v} a" for u in range(n) for v in range(u + 1, n)]
+        inst = parse_instance(f"graph {n}\n" + "\n".join(lines) + "\n")
+        assert inst.graph.edge_count == n * (n - 1) // 2
+
+
+def readme_instance_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Instance file format", 1)[1]
+    return section.split("```", 2)[1].lstrip("\n")
+
+
+class TestReadmeExample:
+    def test_parses_verbatim(self):
+        inst = parse_instance(readme_instance_example(), source="readme_ex.txt")
+        assert inst.graph.n == 4
+        assert [tuple(e) for e in inst.graph.edges] == [
+            (0, 1, "red"),
+            (1, 2, "red"),
+            (2, 3, "blue"),
+        ]
+        assert inst.capacities == {"red": 1}
+        assert inst.default_capacity == 2
+
+    def test_solves_from_the_command_line(self, tmp_path, capsys):
+        path = tmp_path / "readme_ex.txt"
+        path.write_text(readme_instance_example())
+        assert cli.main(["solve", str(path), "-m", "2"]) == 0
+        assert cli.main(["solve", str(path), "-m", "1"]) == 1
+
+
 class TestRoundTrip:
     def test_emit_then_parse_is_identity(self):
         inst = parse_instance(SAMPLE)
@@ -86,6 +158,13 @@ class TestRoundTrip:
         assert again.graph == ColoredGraph(inst.graph.n, inst.graph.edges)
         assert again.capacities == inst.capacities
         assert again.default_capacity == inst.default_capacity
+
+    @pytest.mark.parametrize("color", ["#x", "a b", ""])
+    def test_emit_rejects_colors_that_would_not_read_back(self, color):
+        with pytest.raises(PreconditionError):
+            emit_instance(ColoredGraph(2, [(0, 1, color)]))
+        with pytest.raises(PreconditionError):
+            emit_instance(ColoredGraph(2), {color: 1})
 
     def test_emit_is_stable(self):
         inst = parse_instance(SAMPLE)
@@ -109,6 +188,9 @@ class TestCapacityResolution:
     def test_capacity_file_rejects_edges(self):
         with pytest.raises(InstanceParseError, match="unknown directive 'e'"):
             parse_capacity_file("e 0 1 a\n")
+
+    def test_capacity_file_strips_trailing_comments(self):
+        assert parse_capacity_file("f a 1 # one\nfdefault 2 #\n") == ({"a": 1}, 2)
 
     def test_capacity_file_rejects_duplicates(self):
         with pytest.raises(InstanceParseError, match="duplicate capacity"):
