@@ -25,7 +25,6 @@ from .engine import (
     Impossible,
     SolveVerdict,
     augment_step,
-    exact_profile_forest,
     maximize_forest,
     prune_to_components,
     solve,
@@ -40,7 +39,7 @@ from .errors import (
     OracleLimitError,
     PreconditionError,
 )
-from .generators import GenSpec, census_to_capacities, generate
+from .generators import GenSpec, generate
 from .graph import (
     CapacityMap,
     ColoredGraph,
@@ -48,8 +47,6 @@ from .graph import (
     Forest,
     color_census,
     component_count,
-    respects_capacities,
-    restrict_by_colors,
 )
 
 __all__ = [
@@ -73,13 +70,11 @@ __all__ = [
     "PreconditionError",
     "SolveVerdict",
     "augment_step",
-    "census_to_capacities",
     "color_census",
     "complete_graph_threshold",
     "component_count",
     "density_sufficient",
     "evaluate_condition",
-    "exact_profile_forest",
     "extract_certificate",
     "generate",
     "max_edges_for_components",
@@ -87,7 +82,5 @@ __all__ = [
     "oracle_condition",
     "oracle_forest_search",
     "prune_to_components",
-    "respects_capacities",
-    "restrict_by_colors",
     "solve",
 ]

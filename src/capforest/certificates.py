@@ -36,11 +36,15 @@ def evaluate_condition(
 
     Returns ``(remaining, budget)`` with ``budget = components`` plus the
     capacity total over ``colors``. The pair witnesses impossibility exactly
-    when ``remaining > budget``.
+    when ``remaining > budget``. ``components`` must lie in ``1..n``.
     """
     colors = set(colors)
     if g.n == 0:
         raise EmptyGraphError("component count is undefined on zero vertices")
+    if not 1 <= components <= g.n:
+        raise PreconditionError(
+            f"component count must be in 1..{g.n}, got {components}"
+        )
     dsu = DisjointSet(g.n)
     for u, v, color in g.edges:
         if color not in colors:

@@ -296,35 +296,3 @@ def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> SolveVerdict:
     from .certificates import extract_certificate
 
     return Impossible(extract_certificate(g, caps, components, search))
-
-
-def exact_profile_forest(
-    g: ColoredGraph, caps: CapacityMap, components: int
-) -> SolveVerdict:
-    """Solve when the capacities sum to exactly the number of forest edges.
-
-    Requires the capacity total over the palette to equal ``n - components``.
-    Any forest found then carries exactly ``caps.cap(c)`` edges of every
-    color ``c`` (it has ``n - components`` edges, each color at most its
-    capacity, and the capacities leave no slack), which is re-checked before
-    returning.
-    """
-    if not 1 <= components <= g.n:
-        raise PreconditionError(
-            f"component count must be in 1..{g.n}, got {components}"
-        )
-    need = g.n - components
-    total = caps.total(g.palette)
-    if total != need:
-        raise PreconditionError(
-            f"capacities over the palette sum to {total}, expected {need}"
-        )
-    verdict = solve(g, caps, components)
-    if isinstance(verdict, Found):
-        counts = verdict.forest.color_counts()
-        for color in g.palette:
-            if counts.get(color, 0) != caps.cap(color):
-                raise InternalSolverError(
-                    "forest misses the exact per-color profile"
-                )
-    return verdict

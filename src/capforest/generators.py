@@ -12,10 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import CapacityMap, ColoredGraph, color_census
+from .graph import ColoredGraph
 
-MODELS = ("gnp", "complete", "complete_factorized")
-COLORINGS = ("uniform", "k_bounded", "capped")
 # Every model visits all n(n-1)/2 vertex pairs; 2000 vertices is about two
 # million pairs, which ``complete`` holds in memory at once.
 MAX_VERTICES = 2000
@@ -32,8 +30,7 @@ class GenSpec:
     there). The other models color edges by ``coloring``: ``uniform`` draws
     each edge's color independently from ``palette_size`` colors;
     ``k_bounded`` shuffles a pool holding each color ``k`` times, so no
-    color exceeds ``k`` edges; ``capped`` does the same with per-color pool
-    sizes taken from ``caps``.
+    color exceeds ``k`` edges.
     """
 
     seed: int
@@ -43,7 +40,6 @@ class GenSpec:
     coloring: str | None = "uniform"
     palette_size: int | None = None
     k: int | None = None
-    caps: CapacityMap | None = None
 
 
 def _color_pool(spec: GenSpec, rng: random.Random, count: int):
@@ -67,21 +63,6 @@ def _color_pool(spec: GenSpec, rng: random.Random, count: int):
             )
         rng.shuffle(slots)
         return slots[:count], frozenset(f"c{j}" for j in range(size))
-    if spec.coloring == "capped":
-        caps = spec.caps
-        if caps is None:
-            raise PreconditionError("capped coloring needs a capacity map")
-        if caps.default is not None:
-            raise PreconditionError(
-                "capped coloring needs explicit per-color budgets, not a default"
-            )
-        slots = [c for c in sorted(caps.assignments) for _ in range(caps.cap(c))]
-        if len(slots) < count:
-            raise PreconditionError(
-                f"capacity pool of {len(slots)} cannot color {count} edges"
-            )
-        rng.shuffle(slots)
-        return slots[:count], frozenset(caps.assignments)
     raise PreconditionError(f"unknown coloring {spec.coloring!r}")
 
 
@@ -139,12 +120,3 @@ def generate(spec: GenSpec) -> ColoredGraph:
     colors, palette = _color_pool(spec, rng, len(pairs))
     edges = tuple((u, v, c) for (u, v), c in zip(pairs, colors))
     return ColoredGraph(spec.n, edges, palette=palette)
-
-
-def census_to_capacities(g: ColoredGraph) -> CapacityMap:
-    """Tightest capacity map the graph already satisfies.
-
-    Every present color gets exactly its edge count; decrementing any entry
-    would put the graph over budget. Colors without edges get no entry.
-    """
-    return CapacityMap(color_census(g))

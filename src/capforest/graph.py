@@ -215,23 +215,9 @@ class Forest:
     def color_counts(self) -> dict[str, int]:
         return dict(Counter(self.host.edges[i].color for i in self.members))
 
-    def colors(self) -> frozenset[str]:
-        return frozenset(self.host.edges[i].color for i in self.members)
-
     def require_host(self, g: ColoredGraph) -> None:
         if self.host is not g and self.host != g:
             raise PreconditionError("forest belongs to a different host graph")
-
-
-def restrict_by_colors(g: ColoredGraph, colors: Iterable[str]) -> ColoredGraph:
-    """Drop every edge whose color lies in ``colors``.
-
-    The survivors keep their relative order; the palette is unchanged.
-    ``colors`` may be empty or mention colors absent from the graph.
-    """
-    banned = set(colors)
-    kept = tuple(e for e in g.edges if e.color not in banned)
-    return ColoredGraph(g.n, kept, palette=g.palette)
 
 
 def component_count(g: ColoredGraph) -> int:
@@ -247,10 +233,3 @@ def component_count(g: ColoredGraph) -> int:
 def color_census(g: ColoredGraph) -> dict[str, int]:
     """Per-color edge counts, for the colors that actually occur."""
     return dict(Counter(e.color for e in g.edges))
-
-
-def respects_capacities(g: ColoredGraph, caps: CapacityMap) -> bool:
-    """True when every color's edge count stays within its capacity."""
-    return all(
-        count <= caps.cap(color) for color, count in color_census(g).items()
-    )

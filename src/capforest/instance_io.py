@@ -4,7 +4,8 @@ Instance format, one directive per line; a token that begins with ``#``
 starts a comment running to the end of the line, and blank lines are
 ignored::
 
-    graph <n>            vertex count; required, exactly once, before edges
+    graph <n>            vertex count, at most ``MAX_VERTICES``; required,
+                         exactly once, before edges
     e <u> <v> <color>    one edge; u, v in 0..n-1, color any bare token
                          not beginning with ``#``
     f <color> <cap>      capacity for one color
@@ -21,6 +22,10 @@ from dataclasses import dataclass
 
 from .errors import InstanceParseError, PreconditionError
 from .graph import CapacityMap, ColoredGraph, Forest
+
+# The solver allocates several lists of size n per search even on an
+# edgeless graph: solving one with 10**6 vertices peaks near 0.2 GB.
+MAX_VERTICES = 10**6
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,27 @@ def _capacity_field(token: str, where: str) -> int:
     if value < 0:
         raise InstanceParseError(f"{where}: capacity must be non-negative")
     return value
+
+
+def _capacity_directive(
+    word: str, args: list[str], where: str, caps: dict[str, int], default: int | None
+) -> int | None:
+    """Apply one ``f`` or ``fdefault`` line to ``caps``; returns the default."""
+    if word == "f":
+        if len(args) != 2:
+            raise InstanceParseError(f"{where}: expected 'f <color> <cap>'")
+        color = args[0]
+        if color in caps:
+            raise InstanceParseError(
+                f"{where}: duplicate capacity for color {color!r}"
+            )
+        caps[color] = _capacity_field(args[1], where)
+        return default
+    if len(args) != 1:
+        raise InstanceParseError(f"{where}: expected 'fdefault <cap>'")
+    if default is not None:
+        raise InstanceParseError(f"{where}: duplicate 'fdefault'")
+    return _capacity_field(args[0], where)
 
 
 def _strip_comment(fields: list[str]) -> list[str]:
@@ -110,21 +136,12 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
             n = _int_field(args[0], "vertex count", where)
             if n < 0:
                 raise InstanceParseError(f"{where}: vertex count must be non-negative")
-        elif word == "f":
-            if len(args) != 2:
-                raise InstanceParseError(f"{where}: expected 'f <color> <cap>'")
-            color = args[0]
-            if color in caps:
+            if n > MAX_VERTICES:
                 raise InstanceParseError(
-                    f"{where}: duplicate capacity for color {color!r}"
+                    f"{where}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
                 )
-            caps[color] = _capacity_field(args[1], where)
-        elif word == "fdefault":
-            if len(args) != 1:
-                raise InstanceParseError(f"{where}: expected 'fdefault <cap>'")
-            if default is not None:
-                raise InstanceParseError(f"{where}: duplicate 'fdefault'")
-            default = _capacity_field(args[0], where)
+        elif word in ("f", "fdefault"):
+            default = _capacity_directive(word, args, where, caps, default)
         else:
             raise InstanceParseError(f"{where}: unknown directive {word!r}")
 
@@ -145,21 +162,8 @@ def parse_capacity_file(
             continue
         where = f"{source}:{lineno}"
         word, args = fields[0], fields[1:]
-        if word == "f":
-            if len(args) != 2:
-                raise InstanceParseError(f"{where}: expected 'f <color> <cap>'")
-            color = args[0]
-            if color in caps:
-                raise InstanceParseError(
-                    f"{where}: duplicate capacity for color {color!r}"
-                )
-            caps[color] = _capacity_field(args[1], where)
-        elif word == "fdefault":
-            if len(args) != 1:
-                raise InstanceParseError(f"{where}: expected 'fdefault <cap>'")
-            if default is not None:
-                raise InstanceParseError(f"{where}: duplicate 'fdefault'")
-            default = _capacity_field(args[0], where)
+        if word in ("f", "fdefault"):
+            default = _capacity_directive(word, args, where, caps, default)
         else:
             raise InstanceParseError(
                 f"{where}: unknown directive {word!r} in capacity file"

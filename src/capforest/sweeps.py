@@ -25,8 +25,8 @@ from fractions import Fraction
 from .bounds import complete_graph_threshold, density_sufficient
 from .certificates import oracle_condition, oracle_forest_search
 from .engine import Found, solve
-from .errors import InternalSolverError
-from .generators import GenSpec, generate
+from .errors import InternalSolverError, PreconditionError
+from .generators import MAX_VERTICES, GenSpec, generate
 from .graph import CapacityMap, ColoredGraph, color_census
 
 
@@ -84,38 +84,20 @@ def sample_solver_instance(
     return g, caps
 
 
-def oracle_agreement_holds(g, caps, components, solver=solve) -> bool:
+def oracle_agreement_holds(g, caps, components) -> bool:
     """Solver vs. both exhaustive oracles, one target component count."""
-    verdict = solver(g, caps, components)
+    verdict = solve(g, caps, components)
     cert = oracle_condition(g, caps, components)
     forest = oracle_forest_search(g, caps, components)
     return isinstance(verdict, Found) == (cert is None) == (forest is not None)
 
 
-def run_oracle_agreement(
-    count: int,
-    seed: int,
-    *,
-    max_n: int = 7,
-    max_edges: int = 14,
-    max_palette: int = 5,
-    max_cap: int = 3,
-    solver=solve,
-) -> LawReport:
+def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
     report = LawReport("oracle-agreement")
     for index in range(count):
         rng, key = _instance_rng(seed, "agreement", index)
-        g, caps = sample_solver_instance(
-            rng,
-            max_n=max_n,
-            max_edges=max_edges,
-            max_palette=max_palette,
-            max_cap=max_cap,
-        )
-        ok = all(
-            oracle_agreement_holds(g, caps, m, solver=solver)
-            for m in range(1, g.n + 1)
-        )
+        g, caps = sample_solver_instance(rng, max_n=max_n)
+        ok = all(oracle_agreement_holds(g, caps, m) for m in range(1, g.n + 1))
         report.record(ok, key)
     return report
 
@@ -162,7 +144,7 @@ def density_guarantee_instance(
     return g, caps, components
 
 
-def run_density_guarantee(count: int, seed: int, *, solver=solve) -> LawReport:
+def run_density_guarantee(count: int, seed: int) -> LawReport:
     report = LawReport("density-guarantee")
     for index in range(count):
         rng, key = _instance_rng(seed, "density", index)
@@ -172,11 +154,11 @@ def run_density_guarantee(count: int, seed: int, *, solver=solve) -> LawReport:
             raise InternalSolverError(
                 f"sweep instance {key} was built to pass the density check"
             )
-        report.record(isinstance(solver(g, caps, components), Found), key)
+        report.record(isinstance(solve(g, caps, components), Found), key)
     return report
 
 
-def run_bounded_complete(count: int, seed: int, *, solver=solve) -> LawReport:
+def run_bounded_complete(count: int, seed: int) -> LawReport:
     report = LawReport("bounded-complete")
     for index in range(count):
         rng, key = _instance_rng(seed, "bounded", index)
@@ -193,16 +175,27 @@ def run_bounded_complete(count: int, seed: int, *, solver=solve) -> LawReport:
                 k=k,
             )
         )
-        verdict = solver(g, CapacityMap.uniform(1), 1)
+        verdict = solve(g, CapacityMap.uniform(1), 1)
         report.record(isinstance(verdict, Found), key)
     return report
 
 
-def run_all(count: int, seed: int, *, max_n: int = 7, solver=solve) -> SweepSummary:
+def run_all(count: int, seed: int, *, max_n: int = 7) -> SweepSummary:
+    """All three laws on ``count`` instances each.
+
+    ``max_n`` must lie in ``1..MAX_VERTICES``: the sampler lists every
+    vertex pair of each instance, as the generators do.
+    """
+    if count < 0:
+        raise PreconditionError(f"instance count must be non-negative, got {count}")
+    if not 1 <= max_n <= MAX_VERTICES:
+        raise PreconditionError(
+            f"max_n must be in 1..{MAX_VERTICES}, got {max_n}"
+        )
     return SweepSummary(
         [
-            run_oracle_agreement(count, seed, max_n=max_n, solver=solver),
-            run_density_guarantee(count, seed, solver=solver),
-            run_bounded_complete(count, seed, solver=solver),
+            run_oracle_agreement(count, seed, max_n=max_n),
+            run_density_guarantee(count, seed),
+            run_bounded_complete(count, seed),
         ]
     )

@@ -14,13 +14,11 @@ from capforest import (
     InternalSolverError,
     OracleLimitError,
     PreconditionError,
-    component_count,
     evaluate_condition,
     extract_certificate,
     maximize_forest,
     oracle_condition,
     oracle_forest_search,
-    restrict_by_colors,
     solve,
 )
 from capforest.engine import ExchangeGraph
@@ -221,7 +219,7 @@ class TestEvaluateCondition:
                 colors = {c for c in g.palette if rng.random() < 0.5}
                 m = rng.randint(1, g.n)
                 remaining, budget = evaluate_condition(g, caps, m, colors)
-                assert remaining == component_count(restrict_by_colors(g, colors))
+                assert remaining == helpers.components_without_colors(g, colors)
                 assert budget == m + caps.total(colors)
 
     def test_empty_graph_has_no_component_count(self):

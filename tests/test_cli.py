@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from capforest import cli, sweeps
+from capforest.instance_io import MAX_VERTICES as MAX_INSTANCE_VERTICES
 from capforest.instance_io import parse_instance
 
 TRIANGLE = "graph 3\nfdefault 1\ne 0 1 a\ne 1 2 b\ne 2 0 c\n"
@@ -105,6 +106,18 @@ class TestSolveCommand:
     def test_target_out_of_range_is_input_error(self, triangle_file, capsys):
         assert cli.main(["solve", triangle_file, "-m", "9"]) == 2
 
+    @pytest.mark.parametrize("n", [MAX_INSTANCE_VERTICES + 1, 10**20])
+    def test_huge_vertex_count_is_input_error(self, tmp_path, capsys, n):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"graph {n}\n")
+        assert cli.main(["solve", str(path), "-m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}:1: vertex count {n} exceeds the limit of "
+            f"{MAX_INSTANCE_VERTICES}\n"
+        )
+
     def test_sidecar_overrides_inline(self, tmp_path, capsys):
         instance = tmp_path / "inst.txt"
         instance.write_text(PATH_AA)
@@ -146,6 +159,14 @@ class TestCertifyCommand:
     def test_unknown_color(self, triangle_file, capsys):
         assert cli.main(["certify", triangle_file, "-m", "1", "--colors", "zz"]) == 2
         assert "unknown colors: zz" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("m", [0, 4, -4])
+    def test_target_out_of_range_is_input_error(self, triangle_file, capsys, m):
+        assert cli.main(["certify", triangle_file, "-m", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: component count must be in 1..3, got {m}\n"
 
 
 class TestOracleCommand:
@@ -293,7 +314,26 @@ class TestSweepCommand:
     def test_zero_count_is_vacuously_clean(self, capsys):
         assert cli.main(["sweep", "--count", "0"]) == 0
 
-    def test_corrupted_solver_is_caught(self):
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--max-n", "0"], "max_n must be in 1..2000, got 0"),
+            (["--max-n", "-3"], "max_n must be in 1..2000, got -3"),
+            (["--max-n", "2001"], "max_n must be in 1..2000, got 2001"),
+            (["--count", "-1"], "instance count must be non-negative, got -1"),
+        ],
+    )
+    def test_bad_sizes_are_input_errors(self, capsys, monkeypatch, args, message):
+        def no_instances(*_):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(sweeps, "_instance_rng", no_instances)
+        assert cli.main(["sweep", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_corrupted_solver_is_caught(self, monkeypatch):
         # negative control: a solver that always claims success must trip
         # the agreement law
         from capforest import Forest, Found
@@ -301,12 +341,13 @@ class TestSweepCommand:
         def broken(g, caps, components):
             return Found(Forest.empty(g))
 
-        report = sweeps.run_oracle_agreement(20, 5, solver=broken)
+        monkeypatch.setattr(sweeps, "solve", broken)
+        report = sweeps.run_oracle_agreement(20, 5)
         assert not report.ok
         assert report.first_failing_key is not None
 
     def test_cli_reports_violations_with_exit_three(self, capsys, monkeypatch):
-        def rigged(count, seed, max_n=7, solver=None):
+        def rigged(count, seed, max_n=7):
             report = sweeps.LawReport("oracle-agreement")
             report.record(False, f"{seed}:agreement:0")
             return sweeps.SweepSummary([report])

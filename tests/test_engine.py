@@ -11,7 +11,6 @@ from capforest import (
     Impossible,
     PreconditionError,
     augment_step,
-    exact_profile_forest,
     maximize_forest,
     prune_to_components,
     solve,
@@ -268,7 +267,7 @@ class TestSolve:
         assert isinstance(verdict, Found)
         forest = verdict.forest
         assert forest.num_components == 1 and forest.size == 2
-        assert len(forest.colors()) == 2
+        assert len(forest.color_counts()) == 2
 
     def test_one_color_path_is_impossible(self):
         verdict = solve(path_aa(), CapacityMap({"a": 1}), 1)
@@ -360,25 +359,3 @@ class TestSolve:
                 assert helpers.is_acyclic(g.n, chosen)
                 assert helpers.within_capacities(chosen, caps)
 
-
-class TestExactProfile:
-    def test_triangle_profile(self):
-        caps = CapacityMap({"a": 1, "b": 1, "c": 0})
-        verdict = exact_profile_forest(triangle(), caps, 1)
-        assert isinstance(verdict, Found)
-        assert verdict.forest.color_counts() == {"a": 1, "b": 1}
-
-    def test_unique_spanning_tree(self):
-        verdict = exact_profile_forest(path_ab(), CapacityMap({"a": 1, "b": 1}), 1)
-        assert isinstance(verdict, Found)
-        assert verdict.forest.members == (0, 1)
-
-    def test_star_with_two_of_three_edges(self):
-        star = ColoredGraph(4, [(0, 1, "a"), (0, 2, "a"), (0, 3, "a")])
-        verdict = exact_profile_forest(star, CapacityMap({"a": 2}), 2)
-        assert isinstance(verdict, Found)
-        assert verdict.forest.color_counts() == {"a": 2}
-
-    def test_capacity_sum_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            exact_profile_forest(triangle(), CapacityMap.uniform(1), 1)

@@ -6,9 +6,7 @@ from capforest import (
     CapacityMap,
     Found,
     PreconditionError,
-    census_to_capacities,
     color_census,
-    respects_capacities,
     solve,
 )
 from capforest.generators import MAX_VERTICES, GenSpec, generate
@@ -132,66 +130,11 @@ class TestColorings:
                 GenSpec(seed=0, n=5, model="complete", coloring="k_bounded", palette_size=2, k=2)
             )
 
-    def test_capped_respects_budgets(self):
-        caps = CapacityMap({"red": 4, "blue": 8})
-        g = generate(
-            GenSpec(seed=5, n=5, model="complete", coloring="capped", caps=caps)
-        )
-        assert respects_capacities(g, caps)
-        assert g.palette == {"red", "blue"}
-
-    def test_capped_infeasible(self):
-        with pytest.raises(PreconditionError):
-            generate(
-                GenSpec(
-                    seed=0,
-                    n=5,
-                    model="complete",
-                    coloring="capped",
-                    caps=CapacityMap({"red": 3}),
-                )
-            )
-
-    def test_capped_rejects_default_budgets(self):
-        with pytest.raises(PreconditionError):
-            generate(
-                GenSpec(seed=0, n=3, model="complete", coloring="capped", caps=CapacityMap.uniform(2))
-            )
+    def test_capped_is_an_unknown_coloring(self):
+        with pytest.raises(PreconditionError, match="unknown coloring 'capped'"):
+            generate(GenSpec(seed=0, n=3, model="complete", coloring="capped"))
 
     def test_uniform_declares_whole_palette(self):
         g = generate(GenSpec(seed=0, n=3, model="gnp", p=0.0, coloring="uniform", palette_size=4))
         assert g.palette == {"c0", "c1", "c2", "c3"}
 
-
-class TestCensusToCapacities:
-    def test_square(self):
-        from capforest import ColoredGraph
-
-        g = ColoredGraph(4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "b"), (3, 0, "b")])
-        assert census_to_capacities(g).assignments == {"a": 2, "b": 2}
-
-    def test_all_distinct_gives_unit_budgets(self):
-        g = generate(
-            GenSpec(seed=4, n=5, model="complete", coloring="k_bounded", palette_size=10, k=1)
-        )
-        caps = census_to_capacities(g)
-        assert set(caps.assignments.values()) == {1}
-
-    def test_empty_graph_gives_empty_map(self):
-        from capforest import ColoredGraph
-
-        caps = census_to_capacities(ColoredGraph(3))
-        assert caps.assignments == {} and caps.default is None
-
-    def test_result_is_tight(self):
-        g = generate(
-            GenSpec(seed=6, n=6, model="gnp", p=0.7, coloring="uniform", palette_size=3)
-        )
-        caps = census_to_capacities(g)
-        assert respects_capacities(g, caps)
-        for color in caps.assignments:
-            if caps.assignments[color] == 0:
-                continue
-            lowered = dict(caps.assignments)
-            lowered[color] -= 1
-            assert not respects_capacities(g, CapacityMap(lowered))

@@ -13,8 +13,6 @@ from capforest import (
     PreconditionError,
     color_census,
     component_count,
-    respects_capacities,
-    restrict_by_colors,
 )
 
 PALETTE = ("a", "b", "c", "d")
@@ -98,30 +96,6 @@ class TestConstruction:
         assert [(e.u, e.v, e.color) for e in g.edges] == edges
 
 
-class TestRestrictByColors:
-    def test_empty_color_set_is_identity(self):
-        g = triangle()
-        assert restrict_by_colors(g, set()) == g
-
-    def test_triangle_minus_one_color(self):
-        g = restrict_by_colors(triangle(), {"a"})
-        assert g.n == 3
-        assert [e.color for e in g.edges] == ["b", "c"]
-
-    def test_removing_all_colors_isolates_everything(self):
-        g = restrict_by_colors(square_aabb(), {"a", "b"})
-        assert g.edges == ()
-        assert component_count(g) == 4
-
-    def test_colors_outside_palette_are_allowed(self):
-        g = restrict_by_colors(triangle(), {"z"})
-        assert g == triangle()
-
-    def test_palette_survives_restriction(self):
-        g = restrict_by_colors(triangle(), {"a"})
-        assert g.palette == {"a", "b", "c"}
-
-
 class TestComponentCount:
     def test_isolated_vertices(self):
         assert component_count(ColoredGraph(4)) == 4
@@ -130,7 +104,7 @@ class TestComponentCount:
         assert component_count(ColoredGraph(3, [(0, 1, "a"), (1, 2, "b")])) == 1
 
     def test_square_after_removing_opposite_sides(self):
-        g = restrict_by_colors(square_aabb(), {"a"})
+        g = ColoredGraph(4, [(1, 2, "b"), (3, 0, "b")])  # square_aabb minus "a"
         assert component_count(g) == 2
         assert component_count(g) == helpers.bfs_component_count(g.n, g.edges)
 
@@ -150,29 +124,6 @@ class TestColorCensus:
         assert color_census(ColoredGraph(3)) == {}
 
 
-class TestRespectsCapacities:
-    def test_within_budget(self):
-        g = ColoredGraph(4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "b")])
-        assert respects_capacities(g, CapacityMap({"a": 3, "b": 1}))
-
-    def test_over_budget(self):
-        g = ColoredGraph(3, [(0, 1, "a"), (1, 2, "a")])
-        assert not respects_capacities(g, CapacityMap({"a": 1}))
-
-    def test_zero_capacity_bans_a_color(self):
-        # seven-color budget table with colors 4 and 5 banned outright
-        caps = CapacityMap(
-            {"1": 3, "2": 1, "3": 3, "4": 0, "5": 0, "6": 1, "7": 2}
-        )
-        g = ColoredGraph(2, [(0, 1, "4")])
-        assert not respects_capacities(g, caps)
-
-    def test_missing_color_is_an_error_not_zero(self):
-        g = ColoredGraph(2, [(0, 1, "a")])
-        with pytest.raises(MissingCapacityError):
-            respects_capacities(g, CapacityMap({"b": 1}))
-
-
 class TestCapacityMap:
     def test_default_applies_to_unassigned(self):
         caps = CapacityMap({"a": 2}, default=1)
@@ -189,6 +140,10 @@ class TestCapacityMap:
     def test_negative_capacity_rejected(self):
         with pytest.raises(PreconditionError):
             CapacityMap({"a": -1})
+
+    def test_missing_color_is_an_error_not_zero(self):
+        with pytest.raises(MissingCapacityError):
+            CapacityMap({"b": 1}).cap("a")
 
     def test_total(self):
         caps = CapacityMap({"a": 2, "b": 0}, default=5)
@@ -239,29 +194,7 @@ class TestForest:
             forest.require_host(square_aabb())
 
 
-@given(colored_graphs(), st.sets(st.sampled_from(PALETTE)))
-def test_restriction_never_merges_components(g, colors):
-    assert component_count(restrict_by_colors(g, colors)) >= component_count(g)
-
-
-@given(
-    colored_graphs(),
-    st.sets(st.sampled_from(PALETTE)),
-    st.sets(st.sampled_from(PALETTE)),
-)
-def test_restriction_monotone_in_color_set(g, r1, extra):
-    r2 = r1 | extra
-    assert component_count(restrict_by_colors(g, r1)) <= component_count(
-        restrict_by_colors(g, r2)
-    )
-
-
 @given(colored_graphs())
 def test_census_sums_to_edge_count(g):
     assert sum(color_census(g).values()) == len(g.edges)
 
-
-@given(colored_graphs(), st.integers(0, 3), st.integers(0, 3))
-def test_respects_capacities_monotone(g, low, bump):
-    if respects_capacities(g, CapacityMap.uniform(low)):
-        assert respects_capacities(g, CapacityMap.uniform(low + bump))

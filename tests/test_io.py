@@ -10,6 +10,7 @@ from capforest import (
     cli,
 )
 from capforest.instance_io import (
+    MAX_VERTICES,
     emit_instance,
     graph_to_dot,
     parse_capacity_file,
@@ -80,6 +81,9 @@ class TestParseInstance:
     def test_negative_capacity_rejected(self):
         with pytest.raises(InstanceParseError, match="non-negative"):
             parse_instance("graph 2\nf a -1\n")
+
+    def test_vertex_count_at_the_limit_is_accepted(self):
+        assert parse_instance(f"graph {MAX_VERTICES}\n").graph.n == MAX_VERTICES
 
     def test_bad_vertex_token(self):
         with pytest.raises(InstanceParseError, match="must be an integer"):
@@ -195,6 +199,28 @@ class TestCapacityResolution:
     def test_capacity_file_rejects_duplicates(self):
         with pytest.raises(InstanceParseError, match="duplicate capacity"):
             parse_capacity_file("f a 1\nf a 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("f a\n", 1, "expected 'f <color> <cap>'"),
+            ("f a 1 2\n", 1, "expected 'f <color> <cap>'"),
+            ("f a 1\nf a 2\n", 2, "duplicate capacity for color 'a'"),
+            ("f a x\n", 1, "capacity must be an integer, got 'x'"),
+            ("f a -1\n", 1, "capacity must be non-negative"),
+            ("fdefault\n", 1, "expected 'fdefault <cap>'"),
+            ("fdefault 1 2\n", 1, "expected 'fdefault <cap>'"),
+            ("fdefault 1\nfdefault 1\n", 2, "duplicate 'fdefault'"),
+            ("fdefault -2\n", 1, "capacity must be non-negative"),
+        ],
+    )
+    def test_capacity_line_messages_match_in_both_files(self, text, line, message):
+        with pytest.raises(InstanceParseError) as sidecar:
+            parse_capacity_file(text, source="c.txt")
+        assert str(sidecar.value) == f"c.txt:{line}: {message}"
+        with pytest.raises(InstanceParseError) as inline:
+            parse_instance("graph 2\n" + text, source="c.txt")
+        assert str(inline.value) == f"c.txt:{line + 1}: {message}"
 
 
 class TestDot:
