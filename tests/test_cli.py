@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from capforest import cli, sweeps
 from capforest.instance_io import MAX_VERTICES as MAX_INSTANCE_VERTICES
 from capforest.instance_io import parse_instance
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 TRIANGLE = "graph 3\nfdefault 1\ne 0 1 a\ne 1 2 b\ne 2 0 c\n"
 PATH_AA = "graph 3\nf a 1\ne 0 1 a\ne 1 2 a\n"
 SQUARE = "graph 4\nfdefault 1\ne 0 1 a\ne 1 2 a\ne 2 3 b\ne 3 0 b\n"
@@ -102,6 +106,29 @@ class TestSolveCommand:
         assert captured.err == (
             "internal error: augmentation produced an invalid forest\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, bad_path, message",
+        [
+            (TRIANGLE, [2], "augmentation broke acyclicity: edge #2 (2,0) closes a cycle"),
+            (PATH_AA, [1], "augmentation produced an invalid forest"),
+            (PATH_AA, [0], "augmentation produced an invalid forest"),
+        ],
+    )
+    def test_bad_augmenting_path_exits_three(
+        self, tmp_path, capsys, monkeypatch, text, bad_path, message
+    ):
+        from capforest.engine import ExchangeGraph
+
+        monkeypatch.setattr(
+            ExchangeGraph, "shortest_augmenting_path", lambda self: list(bad_path)
+        )
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        assert cli.main(["solve", str(path), "-m", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {message}\n"
 
     def test_target_out_of_range_is_input_error(self, triangle_file, capsys):
         assert cli.main(["solve", triangle_file, "-m", "9"]) == 2
@@ -243,6 +270,66 @@ class TestSolveGoldenImpossible:
             '{"bound": 21, "exists": false, "omega": 26, "violating_colors": '
             '["c0", "c1", "c10", "c11", "c2", "c3", "c4", "c5", "c6", "c7"]}\n'
         )
+
+
+# `solve --json` at bench scale: `gen --model gnp` arguments, the budget
+# sidecar, m, the exit code and the sha256 of stdout. Recorded once; a
+# change to the solver must reproduce them and may never re-record them.
+GOLDEN_AT_SCALE = {
+    # rainbow G(600, 0.04): 7129 edges, 28 augmentations after the greedy pass
+    "rainbow-600": (
+        ("--n", "600", "--p", "0.04", "--colors", "600", "--seed", "3"),
+        "fdefault 1\n", 1, 0,
+        "b94c6d9e82df8f839fcdfe5fe494944f6139452337a05ce2d418d458d585fc51",
+    ),
+    # sparse rainbow G(120, 0.05) on 130 colors: augmenting paths of 5 and
+    # 7 nodes
+    "sparse-rainbow-120": (
+        ("--n", "120", "--p", "0.05", "--colors", "130", "--seed", "2"),
+        "fdefault 1\n", 1, 0,
+        "6e75eeace5720cbc461a020bd4601abc45c1bcd0fc8f24675b2975ad4be90422",
+    ),
+    # the maximum forest has 99 edges; m = 10 prunes 9 of them
+    "prune-100": (
+        ("--n", "100", "--p", "0.3", "--colors", "100", "--seed", "1"),
+        "fdefault 1\n", 10, 0,
+        "8310b8b1d5d74167001f79341b80fd9fc0aec437e387919552e4e5d193092550",
+    ),
+    # impossible: in the final search 357 outside edges of c0 still have
+    # spare budget, and none of them is reachable from the 18 sources
+    "impossible-300": (
+        ("--n", "300", "--p", "0.03", "--colors", "2", "--seed", "2"),
+        "f c0 1000\nf c1 1\n", 1, 1,
+        "7ba87dcb8c5b2df7484dbf57f70aa69ebf8a4ae855b30446ae9a0a67988ab3fe",
+    ),
+}
+
+
+class TestSolveGoldenAtScale:
+    @pytest.mark.parametrize(
+        "name, hash_seed",
+        [
+            ("rainbow-600", "0"),
+            ("sparse-rainbow-120", "0"),
+            ("sparse-rainbow-120", "4242"),
+            ("prune-100", "0"),
+            ("impossible-300", "0"),
+            ("impossible-300", "4242"),
+        ],
+    )
+    def test_solve_json_bytes(self, tmp_path, name, hash_seed):
+        gen_args, caps, m, code, digest = GOLDEN_AT_SCALE[name]
+        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
+        assert cli.main(["gen", "--model", "gnp", *gen_args, "--out", str(inst)]) == 0
+        sidecar.write_text(caps)
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", str(m),
+             "--caps", str(sidecar), "--json"],
+            env=env, capture_output=True, check=False, timeout=120,
+        )
+        assert run.returncode == code, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == digest
 
 
 class TestGenCommand:

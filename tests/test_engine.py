@@ -9,6 +9,7 @@ from capforest import (
     Forest,
     Found,
     Impossible,
+    InternalSolverError,
     PreconditionError,
     augment_step,
     maximize_forest,
@@ -130,6 +131,31 @@ class TestAugmentStep:
     def test_foreign_forest_rejected(self):
         with pytest.raises(PreconditionError):
             augment_step(path_ab(), CapacityMap.uniform(1), Forest.empty(triangle()))
+
+
+class TestStepSelfChecks:
+    # a search that hands back a bad path must be caught by the step's own
+    # checks, never turned into a verdict
+    @pytest.mark.parametrize(
+        "make_graph, caps, bad_path, message",
+        [
+            (triangle, CapacityMap.uniform(1), [2],
+             "augmentation broke acyclicity: edge #2 (2,0) closes a cycle"),
+            (path_aa, CapacityMap({"a": 1}), [1],
+             "augmentation produced an invalid forest"),
+            (path_aa, CapacityMap({"a": 1}), [0],
+             "augmentation produced an invalid forest"),
+        ],
+    )
+    def test_bad_path_is_an_internal_error(
+        self, monkeypatch, make_graph, caps, bad_path, message
+    ):
+        monkeypatch.setattr(
+            ExchangeGraph, "shortest_augmenting_path", lambda self: list(bad_path)
+        )
+        with pytest.raises(InternalSolverError) as info:
+            solve(make_graph(), caps, 1)
+        assert str(info.value) == message
 
 
 class TestMaximizeForest:
