@@ -28,6 +28,10 @@ from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest
 if TYPE_CHECKING:
     from .engine import ExchangeGraph
 
+# largest instances the exhaustive oracles accept
+ORACLE_MAX_PALETTE = 16
+ORACLE_MAX_EDGES = 20
+
 
 def evaluate_condition(
     g: ColoredGraph, caps: CapacityMap, components: int, colors: Iterable[str]
@@ -129,24 +133,20 @@ def _lex_subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
 
 
 def oracle_condition(
-    g: ColoredGraph,
-    caps: CapacityMap,
-    components: int,
-    *,
-    max_palette: int = 16,
+    g: ColoredGraph, caps: CapacityMap, components: int
 ) -> Certificate | None:
     """Exhaustively test the reconnection inequality over all color subsets.
 
     Returns the first violating subset in lexicographic order over the
     sorted palette (not necessarily a minimal one), or None when the
-    inequality holds everywhere. Palettes beyond ``max_palette`` colors are
-    refused.
+    inequality holds everywhere. Palettes beyond ``ORACLE_MAX_PALETTE``
+    colors are refused.
     """
     colors = sorted(g.palette)
-    if len(colors) > max_palette:
+    if len(colors) > ORACLE_MAX_PALETTE:
         raise OracleLimitError(
             f"palette of {len(colors)} colors exceeds the oracle limit "
-            f"of {max_palette}"
+            f"of {ORACLE_MAX_PALETTE}"
         )
     for subset in _lex_subsets(colors):
         remaining, budget = evaluate_condition(g, caps, components, subset)
@@ -187,22 +187,18 @@ class _RewindableDisjointSet:
 
 
 def oracle_forest_search(
-    g: ColoredGraph,
-    caps: CapacityMap,
-    components: int,
-    *,
-    max_edges: int = 20,
+    g: ColoredGraph, caps: CapacityMap, components: int
 ) -> Forest | None:
     """Backtracking search for a qualifying forest, independent of the solver.
 
     Enumerates acyclic, capacity-respecting edge subsets of size
     ``n - components`` in increasing index order and returns the first hit
     as a :class:`Forest`, or None when none exists. Graphs beyond
-    ``max_edges`` edges are refused.
+    ``ORACLE_MAX_EDGES`` edges are refused.
     """
-    if len(g.edges) > max_edges:
+    if len(g.edges) > ORACLE_MAX_EDGES:
         raise OracleLimitError(
-            f"{len(g.edges)} edges exceed the search limit of {max_edges}"
+            f"{len(g.edges)} edges exceed the search limit of {ORACLE_MAX_EDGES}"
         )
     need = g.n - components
     if need < 0 or need > len(g.edges):

@@ -37,11 +37,14 @@ EXIT_DISAGREE = 3
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceParseError(
             f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})"
         ) from exc
+    # drop a leading byte-order mark, as the utf-8-sig codec would, but
+    # after decoding, so the byte offset above stays the file's own
+    return text.removeprefix("\ufeff")
 
 
 def _load_instance(path: str) -> Instance:
@@ -134,8 +137,8 @@ def cmd_oracle(args) -> int:
     caps = _load_capacities(args, instance)
     g, m = instance.graph, args.components
     verdict = solve(g, caps, m)
-    cert = oracle_condition(g, caps, m, max_palette=args.max_palette)
-    forest = oracle_forest_search(g, caps, m, max_edges=args.max_edges)
+    cert = oracle_condition(g, caps, m)
+    forest = oracle_forest_search(g, caps, m)
 
     solver_found = isinstance(verdict, Found)
     print(f"solver: {'exists' if solver_found else 'impossible'}")
@@ -230,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("instance")
     p_oracle.add_argument("-m", "--components", type=int, required=True)
     add_caps(p_oracle)
-    p_oracle.add_argument("--max-palette", type=int, default=16)
-    p_oracle.add_argument("--max-edges", type=int, default=20)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance file")

@@ -2,19 +2,20 @@
 
 The maximiser starts from a greedy forest: edges in index order, each kept
 when it joins two components and its color has spare budget. It then grows
-the forest one edge at a time. Each step searches an exchange structure
-over edge indices: swapping a forest edge for an outside edge is safe when
-it either preserves acyclicity (the forest edge lies on the unique forest
-path between the outside edge's endpoints) or preserves the per-color
-budgets (both edges carry the same fully-used color). Forest paths come
-from rooting every component once per step and climbing from both
-endpoints to their lowest common ancestor. A shortest chain of such swaps
-starting at an edge that joins two forest components and ending at an edge
-whose color still has spare budget makes the forest one edge larger; when
-no chain exists the forest has maximum size among all capacity-respecting
-forests of the host graph, which the exhaustive oracles in
-:mod:`capforest.certificates` cross-check at test scale, and the edges
-that last search reached yield the violating color set.
+the forest one edge at a time. Each step, :meth:`ExchangeGraph.augment`,
+searches an exchange structure over edge indices: swapping a forest edge
+for an outside edge is safe when it either preserves acyclicity (the
+forest edge lies on the unique forest path between the outside edge's
+endpoints) or preserves the per-color budgets (both edges carry the same
+fully-used color). One walk per step roots and labels every forest
+component; forest paths are the climbs from both endpoints to their
+lowest common ancestor. A shortest chain of such swaps starting at an edge
+that joins two forest components and ending at an edge whose color still
+has spare budget makes the forest one edge larger; when no chain exists
+the forest has maximum size among all capacity-respecting forests, which
+the exhaustive oracles in :mod:`capforest.certificates` cross-check at
+test scale, and the edges that last search reached yield the violating
+color set.
 """
 
 from __future__ import annotations
@@ -50,92 +51,91 @@ class ExchangeGraph:
     """Search structure for one augmentation step.
 
     Nodes are edge indices of the host graph. ``sources`` are outside edges
-    joining two forest components; ``sinks`` are outside edges whose color
-    still has spare budget (both sets exclude forest members, and an edge in
-    both is a zero-length augmenting path). Arcs run from a member edge to
-    every outside edge whose forest path contains it, and from an outside
-    edge with a fully-used color to the member edges of that color.
+    joining two forest components; sinks are outside edges whose color
+    still has spare budget (an edge that is both is a zero-length
+    augmenting path). Arcs run from a member edge to every outside edge
+    whose forest path contains it, and from an outside edge with a
+    fully-used color to the member edges of that color.
 
-    A search that finds no path leaves the nodes it reached in ``reached``;
-    the colors of the reached outside edges form a violating color set
+    The forest must live on ``g`` and respect ``caps``; otherwise the
+    constructor raises :class:`PreconditionError`. A search that finds no
+    path leaves the nodes it reached in ``reached``; the colors of the
+    reached outside edges form a violating color set
     (:func:`capforest.certificates.extract_certificate`).
     """
 
     def __init__(self, g: ColoredGraph, caps: CapacityMap, forest: Forest):
-        counts = forest.color_counts()
-        member_set = frozenset(forest.members)
-        full = frozenset(
-            color
-            for color in {e.color for e in g.edges}
-            if counts.get(color, 0) >= caps.cap(color)
-        )
+        forest.require_host(g)
+        edges = g.edges
+        members_by_color: dict[str, list[int]] = {}
+        for i in forest.members:
+            members_by_color.setdefault(edges[i].color, []).append(i)
+        for color, members in members_by_color.items():
+            if len(members) > caps.cap(color):
+                raise PreconditionError(
+                    f"forest already exceeds the capacity of color {color!r}"
+                )
 
-        self.sources: list[int] = []
-        self.sinks: set[int] = set()
-        inside: list[int] = []
-        same_component = forest.same_component
-        for i, (u, v, color) in enumerate(g.edges):
-            if i in member_set:
-                continue
-            if same_component(u, v):
-                inside.append(i)
-            else:
-                self.sources.append(i)
-            if color not in full:
-                self.sinks.add(i)
-
-        # Root every component at its label vertex; the forest path of an
-        # inside edge is then the two climbs from its endpoints to their
-        # lowest common ancestor.
+        # Root every component at its smallest vertex, which also labels
+        # the component; the forest path of an inside edge is then the two
+        # climbs from its endpoints to their lowest common ancestor.
         adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         for i in forest.members:
-            e = g.edges[i]
+            e = edges[i]
             adj[e.u].append((e.v, i))
             adj[e.v].append((e.u, i))
+        label = [-1] * g.n
         parent = list(range(g.n))
         parent_edge = [-1] * g.n
         depth = [0] * g.n
         for root in range(g.n):
-            if forest.component_of(root) != root:
+            if label[root] >= 0:
                 continue
+            label[root] = root
             stack = [root]
             while stack:
                 x = stack.pop()
                 for y, idx in adj[x]:
-                    if y != parent[x]:
+                    if label[y] < 0:
+                        label[y] = root
                         parent[y] = x
                         parent_edge[y] = idx
                         depth[y] = depth[x] + 1
                         stack.append(y)
 
+        member_set = frozenset(forest.members)
         arcs: dict[int, list[int]] = {i: [] for i in forest.members}
-        for i in inside:
-            e = g.edges[i]
-            a, b = e.u, e.v
+        spare: dict[str, bool] = {}
+        self.sources: list[int] = []
+        for i, (a, b, color) in enumerate(edges):
+            if i in member_set:
+                continue
+            if color not in spare:
+                spare[color] = len(members_by_color.get(color, ())) < caps.cap(color)
+            if label[a] != label[b]:
+                self.sources.append(i)
+                continue
             while a != b:
                 if depth[a] < depth[b]:
                     a, b = b, a
                 arcs[parent_edge[a]].append(i)
                 a = parent[a]
-        self._arcs_from_member = arcs
-
-        self._members_by_color: dict[str, list[int]] = {}
-        for i in forest.members:
-            self._members_by_color.setdefault(g.edges[i].color, []).append(i)
 
         self.forest = forest
         self.reached: frozenset[int] | None = None
-        self._edges = g.edges
+        self._caps = caps
+        self._edges = edges
         self._member_set = member_set
-        self._full = full
+        self._members_by_color = members_by_color
+        self._arcs_from_member = arcs
+        self._spare = spare
 
     def _neighbors(self, node: int) -> list[int]:
         if node in self._member_set:
             return self._arcs_from_member[node]
-        color = self._edges[node].color
-        if color not in self._full:
-            return []  # the node is a sink; the search never continues past it
-        return self._members_by_color.get(color, [])
+        # only outside edges of a full color get here: the search returns
+        # at the first layer that holds a sink, before expanding it
+        return self._members_by_color.get(self._edges[node].color, [])
 
     def shortest_augmenting_path(self) -> list[int] | None:
         """Shortest source-to-sink path, or None when the forest is maximum.
@@ -144,11 +144,12 @@ class ExchangeGraph:
         so ties always resolve the same way. When no path exists, the nodes
         reached from the sources are kept in ``reached``.
         """
+        edges, members, spare = self._edges, self._member_set, self._spare
         parent: dict[int, int | None] = {s: None for s in self.sources}
         layer = sorted(self.sources)
         while layer:
             for node in layer:
-                if node in self.sinks:
+                if node not in members and spare[edges[node].color]:
                     path = []
                     cur: int | None = node
                     while cur is not None:
@@ -165,28 +166,29 @@ class ExchangeGraph:
         self.reached = frozenset(parent)
         return None
 
+    def augment(self) -> Forest | None:
+        """The forest one edge larger, or None when this one is maximum.
 
-def _step(
-    g: ColoredGraph, caps: CapacityMap, forest: Forest
-) -> tuple[ExchangeGraph, Forest | None]:
-    """Search once from ``forest``; return the search and, when it found a
-    path, the forest one edge larger (validated as in :func:`augment_step`).
-    """
-    search = ExchangeGraph(g, caps, forest)
-    path = search.shortest_augmenting_path()
-    if path is None:
-        return search, None
-    new_members = frozenset(forest.members).symmetric_difference(path)
-    try:
-        bigger = Forest(g, tuple(sorted(new_members)))
-    except PreconditionError as exc:
-        raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
-    counts = bigger.color_counts()
-    if bigger.size != forest.size + 1 or any(
-        count > caps.cap(color) for color, count in counts.items()
-    ):
-        raise InternalSolverError("augmentation produced an invalid forest")
-    return search, bigger
+        The larger forest is the symmetric difference of the members with
+        a shortest augmenting path. It is re-validated before it is handed
+        back: a cycle, a size other than one more, or a color over budget
+        is an :class:`InternalSolverError`.
+        """
+        path = self.shortest_augmenting_path()
+        if path is None:
+            return None
+        forest = self.forest
+        new_members = self._member_set.symmetric_difference(path)
+        try:
+            bigger = Forest(forest.host, tuple(sorted(new_members)))
+        except PreconditionError as exc:
+            raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
+        counts = bigger.color_counts()
+        if bigger.size != forest.size + 1 or any(
+            count > self._caps.cap(color) for color, count in counts.items()
+        ):
+            raise InternalSolverError("augmentation produced an invalid forest")
+        return bigger
 
 
 def augment_step(
@@ -194,17 +196,10 @@ def augment_step(
 ) -> Forest | None:
     """One augmentation: a forest one edge larger, or None at maximum size.
 
-    The input forest must live on ``g`` and respect ``caps``. The returned
-    forest is the symmetric difference of the old members with a shortest
-    augmenting path, re-validated before it is handed back.
+    The input forest must live on ``g`` and respect ``caps``; the step is
+    :meth:`ExchangeGraph.augment`.
     """
-    forest.require_host(g)
-    for color, count in forest.color_counts().items():
-        if count > caps.cap(color):
-            raise PreconditionError(
-                f"forest already exceeds the capacity of color {color!r}"
-            )
-    return _step(g, caps, forest)[1]
+    return ExchangeGraph(g, caps, forest).augment()
 
 
 def _greedy_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
@@ -236,12 +231,10 @@ def _final_search(g: ColoredGraph, caps: CapacityMap) -> ExchangeGraph:
     Starts from the greedy forest of :func:`_greedy_forest` and augments to
     a fixpoint; the returned search holds that forest and what it reached.
     """
-    forest = _greedy_forest(g, caps)
-    while True:
-        search, bigger = _step(g, caps, forest)
-        if bigger is None:
-            return search
-        forest = bigger
+    search = ExchangeGraph(g, caps, _greedy_forest(g, caps))
+    while (bigger := search.augment()) is not None:
+        search = ExchangeGraph(g, caps, bigger)
+    return search
 
 
 def maximize_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:

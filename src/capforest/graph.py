@@ -153,20 +153,25 @@ class CapacityMap:
 
 @dataclass(frozen=True)
 class Forest:
-    """Acyclic subset of a host graph's edges, with its vertex partition.
+    """Acyclic subset of a host graph's edges.
 
-    ``members`` holds sorted indices into ``host.edges``. Vertices are
-    labelled by the smallest vertex id of their component, so labels do not
-    depend on construction order. Spanning is implicit: every vertex of the
-    host belongs to exactly one component, isolated ones included.
+    ``members`` holds sorted indices into ``host.edges``. Spanning is
+    implicit: every vertex of the host belongs to exactly one component,
+    isolated ones included, so a forest of ``size`` edges has
+    ``n - size`` components.
     """
 
     host: ColoredGraph
     members: tuple[int, ...] = ()
-    _comp: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        raw = tuple(int(i) for i in self.members)
+        raw = tuple(self.members)
+        for i in raw:
+            # one exact type test per index: rejects floats, bools and strings
+            if type(i) is not int:
+                raise PreconditionError(
+                    f"forest members must be integer edge indices, got {i!r}"
+                )
         members = tuple(sorted(set(raw)))
         if len(members) != len(raw):
             raise PreconditionError("duplicate edge indices in forest")
@@ -177,17 +182,12 @@ class Forest:
             e = self.host.edges[i]
             if not dsu.union(e.u, e.v):
                 raise PreconditionError(f"edge #{i} ({e.u},{e.v}) closes a cycle")
-        label: dict[int, int] = {}
-        comp = []
-        for v in range(self.host.n):
-            root = dsu.find(v)
-            comp.append(label.setdefault(root, v))
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_comp", tuple(comp))
         # edge count + component count must tile the vertex set exactly
-        if len(label) != self.host.n - len(members):
+        roots = {dsu.find(v) for v in range(self.host.n)}
+        if len(roots) != self.host.n - len(members):
             raise InternalSolverError(
-                f"{len(members)} edges left {len(label)} components "
+                f"{len(members)} edges left {len(roots)} components "
                 f"on {self.host.n} vertices"
             )
 
@@ -202,12 +202,6 @@ class Forest:
     @property
     def num_components(self) -> int:
         return self.host.n - len(self.members)
-
-    def component_of(self, v: int) -> int:
-        return self._comp[v]
-
-    def same_component(self, u: int, v: int) -> bool:
-        return self._comp[u] == self._comp[v]
 
     def member_edges(self) -> list[tuple[int, Edge]]:
         return [(i, self.host.edges[i]) for i in self.members]

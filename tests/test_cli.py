@@ -93,6 +93,27 @@ class TestSolveCommand:
         assert err.startswith("error: ") and str(sidecar) in err
         assert err.count("\n") == 1
 
+    def test_instance_with_byte_order_mark(self, tmp_path, path_file, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + PATH_AA.encode())
+        assert cli.main(["solve", path_file, "-m", "1", "--json"]) == 1
+        plain = capsys.readouterr().out
+        assert cli.main(["solve", str(path), "-m", "1", "--json"]) == 1
+        assert capsys.readouterr().out == plain
+
+    def test_caps_with_byte_order_mark(self, path_file, tmp_path, capsys):
+        sidecar = tmp_path / "caps.txt"
+        sidecar.write_bytes(b"\xef\xbb\xbff a 2\n")
+        assert cli.main(["solve", path_file, "-m", "1", "--caps", str(sidecar)]) == 0
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfgraph 2\n\xff")
+        assert cli.main(["solve", str(path), "-m", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid UTF-8 (byte 11: invalid start byte)\n"
+        )
+
     def test_internal_error_exits_three(self, triangle_file, capsys, monkeypatch):
         from capforest import InternalSolverError
 
@@ -204,6 +225,20 @@ class TestOracleCommand:
     def test_agreement_on_impossible_instance(self, path_file, capsys):
         assert cli.main(["oracle", path_file, "-m", "1"]) == 0
         assert "AGREE exists=false" in capsys.readouterr().out
+
+    def test_edge_limit_is_input_error(self, tmp_path, capsys):
+        # K7 on three colors: 21 edges, one more than the search accepts
+        edges = [f"e {u} {v} c{(u + v) % 3}\n" for u in range(7) for v in range(u + 1, 7)]
+        path = tmp_path / "k7.txt"
+        path.write_text("graph 7\nfdefault 1\n" + "".join(edges))
+        assert cli.main(["oracle", str(path), "-m", "1"]) == 2
+        assert capsys.readouterr().err == "error: 21 edges exceed the search limit of 20\n"
+
+    @pytest.mark.parametrize("flag", ["--max-palette", "--max-edges"])
+    def test_limits_are_not_options(self, path_file, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["oracle", path_file, "-m", "1", flag, "-1"])
+        assert info.value.code == 2
 
     def test_disagreement_exits_three(self, path_file, capsys, monkeypatch):
         from capforest import Forest, Found

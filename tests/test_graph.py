@@ -164,12 +164,13 @@ class TestForest:
         with pytest.raises(PreconditionError):
             Forest(triangle(), (0, 0))
 
-    def test_component_labels_are_smallest_vertex(self):
-        g = square_aabb()
-        forest = Forest(g, (1,))  # edge 1-2
-        assert forest.component_of(0) == 0
-        assert forest.component_of(1) == forest.component_of(2) == 1
-        assert forest.component_of(3) == 3
+    @pytest.mark.parametrize("bad", [0.9, True, "1"])
+    def test_rejects_non_integer_members(self, bad):
+        with pytest.raises(PreconditionError) as info:
+            Forest(triangle(), (0, bad))
+        assert str(info.value) == (
+            f"forest members must be integer edge indices, got {bad!r}"
+        )
 
     def test_empty_forest_isolates_all_vertices(self):
         forest = Forest.empty(triangle())
