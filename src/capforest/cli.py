@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .certificates import evaluate_condition, oracle_condition, oracle_forest_search
-from .engine import Found, Impossible, SolveVerdict, solve
+from .engine import Found, SolveVerdict, solve
 from .errors import CapforestError, InstanceParseError, InternalSolverError
 from .generators import GenSpec, generate
 from .graph import CapacityMap
@@ -77,24 +77,23 @@ def _verdict_payload(verdict: SolveVerdict) -> dict:
 
 
 def _print_verdict(verdict: SolveVerdict, as_json: bool) -> None:
+    payload = _verdict_payload(verdict)
     if as_json:
-        print(json.dumps(_verdict_payload(verdict), sort_keys=True))
-        return
-    if isinstance(verdict, Found):
-        forest = verdict.forest
-        print(f"forest with {forest.num_components} components ({forest.size} edges)")
-        for _, e in forest.member_edges():
-            print(f"  {e.u} -- {e.v}  [{e.color}]")
-        counts = forest.color_counts()
+        print(json.dumps(payload, sort_keys=True))
+    elif payload["exists"]:
+        edges = payload["forest"]
+        print(f"forest with {payload['components']} components ({len(edges)} edges)")
+        for u, v, color in edges:
+            print(f"  {u} -- {v}  [{color}]")
+        counts = payload["color_counts"]
         if counts:
             print("color counts: " + " ".join(f"{c}={counts[c]}" for c in sorted(counts)))
     else:
-        cert = verdict.certificate
-        names = " ".join(cert.sorted_colors()) or "(none)"
+        names = " ".join(payload["violating_colors"]) or "(none)"
         print("no qualifying forest")
         print(f"violating colors: {names}")
         print(
-            f"components without them: {cert.omega_measured} > budget {cert.bound}"
+            f"components without them: {payload['omega']} > budget {payload['bound']}"
         )
 
 
@@ -155,23 +154,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    model = args.model.replace("-", "_")
-    if model == "complete_factorized":
-        coloring = None
-        palette_size = None
-        k = None
-    else:
-        coloring = "k_bounded" if args.k is not None else "uniform"
-        palette_size = args.colors
-        k = args.k
     spec = GenSpec(
         seed=args.seed,
         n=args.n,
-        model=model,
+        model=args.model.replace("-", "_"),
         p=args.p,
-        coloring=coloring,
-        palette_size=palette_size,
-        k=k,
+        palette_size=args.colors,
+        k=args.k,
     )
     text = emit_instance(generate(spec))
     if args.out:

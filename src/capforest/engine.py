@@ -146,7 +146,8 @@ class ExchangeGraph:
         """
         edges, members, spare = self._edges, self._member_set, self._spare
         parent: dict[int, int | None] = {s: None for s in self.sources}
-        layer = sorted(self.sources)
+        # the edge pass appended the sources in increasing index order
+        layer = self.sources
         while layer:
             for node in layer:
                 if node not in members and spare[edges[node].color]:

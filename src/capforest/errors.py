@@ -6,8 +6,9 @@ class CapforestError(Exception):
 
 
 class GraphConstructionError(CapforestError):
-    """Rejected edge list: loop, duplicate vertex pair, non-integer or
-    out-of-range vertex id."""
+    """Rejected graph: non-integer or negative vertex count, an edge that is
+    not a triple, loop, duplicate vertex pair, non-integer or out-of-range
+    vertex id."""
 
 
 class EmptyGraphError(CapforestError):

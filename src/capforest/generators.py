@@ -2,8 +2,8 @@
 
 All randomness comes from ``random.Random(seed)``, CPython's Mersenne
 Twister; no ambient randomness is consulted. The draw order is fixed
-(edges first, then the coloring), so an identical :class:`GenSpec` always
-yields a bit-for-bit identical graph. Golden-file tests depend on this.
+(edges first, then the coloring ``k`` selects), so an identical :class:`GenSpec`
+always yields a bit-for-bit identical graph. Golden-file tests depend on this.
 """
 
 from __future__ import annotations
@@ -26,44 +26,39 @@ class GenSpec:
     ``model`` picks the edge set: ``gnp`` keeps each pair with probability
     ``p``, ``complete`` keeps all pairs, and ``complete_factorized`` colors
     the complete graph on an even number of vertices by a round-robin
-    schedule, one perfect matching per color (``coloring`` must be None
-    there). The other models color edges by ``coloring``: ``uniform`` draws
-    each edge's color independently from ``palette_size`` colors;
-    ``k_bounded`` shuffles a pool holding each color ``k`` times, so no
-    color exceeds ``k`` edges.
+    schedule, one perfect matching per color (it ignores ``palette_size``
+    and ``k``). The other models color edges from ``palette_size`` colors,
+    and ``k`` picks how: without ``k`` the coloring is uniform, each edge's
+    color drawn independently; with ``k`` it is k-bounded, a shuffled pool
+    holding each color ``k`` times, so no color exceeds ``k`` edges.
     """
 
     seed: int
     n: int
     model: str = "gnp"
     p: float | None = None
-    coloring: str | None = "uniform"
     palette_size: int | None = None
     k: int | None = None
 
 
 def _color_pool(spec: GenSpec, rng: random.Random, count: int):
-    if spec.coloring == "uniform":
-        size = spec.palette_size
-        if size is None or size < 1:
-            raise PreconditionError("uniform coloring needs palette_size >= 1")
-        palette = frozenset(f"c{j}" for j in range(size))
+    size, k = spec.palette_size, spec.k
+    coloring = "uniform" if k is None else "k_bounded"
+    if size is None or size < 1:
+        raise PreconditionError(f"{coloring} coloring needs palette_size >= 1")
+    palette = frozenset(f"c{j}" for j in range(size))
+    if k is None:
         return [f"c{rng.randrange(size)}" for _ in range(count)], palette
-    if spec.coloring == "k_bounded":
-        size, k = spec.palette_size, spec.k
-        if size is None or size < 1:
-            raise PreconditionError("k_bounded coloring needs palette_size >= 1")
-        if k is None or k < 0:
-            raise PreconditionError("k_bounded coloring needs k >= 0")
-        slots = [f"c{j}" for j in range(size) for _ in range(k)]
-        if len(slots) < count:
-            raise PreconditionError(
-                f"cannot place {count} edges on {size} colors "
-                f"with at most {k} edges each"
-            )
-        rng.shuffle(slots)
-        return slots[:count], frozenset(f"c{j}" for j in range(size))
-    raise PreconditionError(f"unknown coloring {spec.coloring!r}")
+    if k < 0:
+        raise PreconditionError("k_bounded coloring needs k >= 0")
+    slots = [f"c{j}" for j in range(size) for _ in range(k)]
+    if len(slots) < count:
+        raise PreconditionError(
+            f"cannot place {count} edges on {size} colors "
+            f"with at most {k} edges each"
+        )
+    rng.shuffle(slots)
+    return slots[:count], palette
 
 
 def _factorized_complete(spec: GenSpec) -> ColoredGraph:
@@ -72,8 +67,6 @@ def _factorized_complete(spec: GenSpec) -> ColoredGraph:
         raise PreconditionError(
             "the factorized model needs an even vertex count"
         )
-    if spec.coloring is not None:
-        raise PreconditionError("the factorized model fixes its own coloring")
     # circle method: vertex n-1 is pinned, the rest rotate; round r is the
     # matching {r, n-1} plus {(r+i) mod (n-1), (r-i) mod (n-1)}
     edges = []

@@ -65,7 +65,8 @@ class ColoredGraph:
 
     ``palette`` is the union of the colors occurring on edges and any
     explicitly declared extras, so it may be larger than the set of colors
-    actually present. Edge order is preserved exactly as given; it anchors
+    actually present. Declared colors are turned into strings, as edge
+    colors are. Edge order is preserved exactly as given; it anchors
     deterministic solver output.
     """
 
@@ -74,10 +75,18 @@ class ColoredGraph:
     palette: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise GraphConstructionError("vertex count must be non-negative")
         n = self.n
-        edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
+        # exact type test: rejects floats and bools, as for vertex ids below
+        if type(n) is not int:
+            raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
+        if n < 0:
+            raise GraphConstructionError("vertex count must be non-negative")
+        try:
+            edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
+        except (TypeError, ValueError) as exc:
+            raise GraphConstructionError(
+                f"edges must be (u, v, color) triples: {exc}"
+            ) from exc
         seen: set[int] = set()  # pair {u, v} keyed as min * n + max
         for u, v, _color in edges:
             # one exact type test per id: rejects floats and bools alike
@@ -95,13 +104,9 @@ class ColoredGraph:
             if pair in seen:
                 raise GraphConstructionError(f"duplicate edge {{{u},{v}}}")
             seen.add(pair)
-        palette = frozenset(self.palette) | {e.color for e in edges}
+        palette = frozenset(map(str, self.palette)) | {e.color for e in edges}
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "palette", palette)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def sorted_palette(self) -> list[str]:
         return sorted(self.palette)
@@ -190,10 +195,6 @@ class Forest:
                 f"{len(members)} edges left {len(roots)} components "
                 f"on {self.host.n} vertices"
             )
-
-    @classmethod
-    def empty(cls, host: ColoredGraph) -> Forest:
-        return cls(host, ())
 
     @property
     def size(self) -> int:

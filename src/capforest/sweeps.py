@@ -114,7 +114,7 @@ def density_guarantee_instance(
     """
     if index % 4 == 0:
         n = (4, 6, 8, 10)[(index // 4) % 4]
-        g = generate(GenSpec(seed=rng.getrandbits(32), n=n, model="complete_factorized", coloring=None))
+        g = generate(GenSpec(seed=rng.getrandbits(32), n=n, model="complete_factorized"))
         components = rng.randint(1, n - 1)
         threshold = complete_graph_threshold(n, components)
         census = color_census(g)
@@ -129,7 +129,6 @@ def density_guarantee_instance(
             seed=rng.getrandbits(32),
             n=n,
             model="complete",
-            coloring="uniform",
             palette_size=rng.randint(1, 4),
         )
     )
@@ -170,7 +169,6 @@ def run_bounded_complete(count: int, seed: int) -> LawReport:
                 seed=rng.getrandbits(32),
                 n=n,
                 model="complete",
-                coloring="k_bounded",
                 palette_size=palette_size,
                 k=k,
             )

@@ -154,7 +154,6 @@ def test_criterion_7_edge_count_bound():
                 n=n,
                 model="gnp",
                 p=rng.random(),
-                coloring="uniform",
                 palette_size=4,
             )
         )

@@ -21,7 +21,7 @@ from capforest.generators import GenSpec, generate
 
 def complete_uniform(n, palette_size, seed):
     return generate(
-        GenSpec(seed=seed, n=n, model="complete", coloring="uniform", palette_size=palette_size)
+        GenSpec(seed=seed, n=n, model="complete", palette_size=palette_size)
     )
 
 
@@ -58,7 +58,6 @@ class TestMaxEdgesForComponents:
                     n=n,
                     model="gnp",
                     p=rng.random(),
-                    coloring="uniform",
                     palette_size=3,
                 )
             )

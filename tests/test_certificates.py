@@ -77,7 +77,7 @@ class TestExtractCertificate:
     def test_rejects_non_maximum_forest(self):
         g = square_aabb()
         caps = CapacityMap({"a": 1, "b": 1})
-        search = ExchangeGraph(g, caps, Forest.empty(g))
+        search = ExchangeGraph(g, caps, Forest(g))
         assert search.shortest_augmenting_path() is not None
         with pytest.raises(PreconditionError):
             extract_certificate(g, caps, 1, search)

@@ -244,7 +244,7 @@ class TestOracleCommand:
         from capforest import Forest, Found
 
         def broken(g, caps, components):
-            return Found(Forest.empty(g))
+            return Found(Forest(g))
 
         monkeypatch.setattr(cli, "solve", broken)
         assert cli.main(["oracle", path_file, "-m", "1"]) == 3
@@ -425,6 +425,28 @@ class TestGenCommand:
         args = ["gen", "--model", "complete", "--n", "6", "--colors", "2", "--k", "1"]
         assert cli.main(args) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--colors", "0"], "uniform coloring needs palette_size >= 1"),
+            (["--colors", "0", "--k", "2"], "k_bounded coloring needs palette_size >= 1"),
+            (["--k", "-1"], "k_bounded coloring needs k >= 0"),
+            (["--k", "1"], "cannot place 3 edges on 1 colors with at most 1 edges each"),
+        ],
+    )
+    def test_coloring_errors_follow_k(self, flags, message, capsys):
+        assert cli.main(["gen", "--model", "complete", "--n", "3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_factorized_ignores_colors_and_k(self, capsys):
+        base = ["gen", "--model", "complete-factorized", "--n", "6"]
+        assert cli.main(base) == 0
+        plain = capsys.readouterr().out
+        assert cli.main([*base, "--colors", "0", "--k", "-1"]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestSweepCommand:
     def test_small_clean_sweep(self, capsys):
@@ -461,7 +483,7 @@ class TestSweepCommand:
         from capforest import Forest, Found
 
         def broken(g, caps, components):
-            return Found(Forest.empty(g))
+            return Found(Forest(g))
 
         monkeypatch.setattr(sweeps, "solve", broken)
         report = sweeps.run_oracle_agreement(20, 5)

@@ -63,7 +63,7 @@ def seeded_instances():
 
 def cold_start(g, caps):
     """Reference maximiser: augment from the empty forest to a fixpoint."""
-    forest = Forest.empty(g)
+    forest = Forest(g)
     while (bigger := augment_step(g, caps, forest)) is not None:
         forest = bigger
     return forest
@@ -108,7 +108,7 @@ def forest_path_arcs(g, forest):
 class TestAugmentStep:
     def test_empty_forest_takes_first_addable_edge(self):
         g = path_ab()
-        out = augment_step(g, CapacityMap.uniform(1), Forest.empty(g))
+        out = augment_step(g, CapacityMap.uniform(1), Forest(g))
         assert out is not None and out.members == (0,)
 
     def test_saturated_color_blocks_growth(self):
@@ -130,7 +130,7 @@ class TestAugmentStep:
 
     def test_foreign_forest_rejected(self):
         with pytest.raises(PreconditionError):
-            augment_step(path_ab(), CapacityMap.uniform(1), Forest.empty(triangle()))
+            augment_step(path_ab(), CapacityMap.uniform(1), Forest(triangle()))
 
 
 class TestStepSelfChecks:
@@ -225,12 +225,14 @@ class TestWarmStart:
 class TestExchangeArcs:
     def check(self, key, g, caps, forest):
         graph = ExchangeGraph(g, caps, forest)
+        # the search scans its first layer in this order, without sorting
+        assert graph.sources == sorted(graph.sources), key
         for m, expected in forest_path_arcs(g, forest).items():
             assert sorted(graph._neighbors(m)) == expected, (key, m)
 
     def test_arcs_match_union_find_oracle_along_augmentation(self):
         for key, g, caps in seeded_instances():
-            forest = Forest.empty(g)
+            forest = Forest(g)
             while forest is not None:
                 self.check(key, g, caps, forest)
                 forest = augment_step(g, caps, forest)
@@ -241,10 +243,10 @@ class TestExchangeArcs:
         for seed in range(10):
             g, _ = gnp_instance(seed, n=40)
             rng = random.Random(f"spanning:{seed}")
-            order = list(range(g.edge_count))
+            order = list(range(len(g.edges)))
             rng.shuffle(order)
-            kept, forest = [], Forest.empty(g)
-            for i in order[: rng.randint(0, g.edge_count)]:
+            kept, forest = [], Forest(g)
+            for i in order[: rng.randint(0, len(g.edges))]:
                 try:
                     forest = Forest(g, (*kept, i))
                 except PreconditionError:
@@ -280,11 +282,11 @@ class TestPrune:
 
     def test_cannot_prune_upward(self):
         with pytest.raises(PreconditionError):
-            prune_to_components(Forest.empty(triangle()), 1)
+            prune_to_components(Forest(triangle()), 1)
 
     def test_target_out_of_range(self):
         with pytest.raises(PreconditionError):
-            prune_to_components(Forest.empty(triangle()), 4)
+            prune_to_components(Forest(triangle()), 4)
 
 
 class TestSolve:

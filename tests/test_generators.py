@@ -14,18 +14,18 @@ from capforest.generators import MAX_VERTICES, GenSpec, generate
 
 class TestDeterminism:
     def test_same_spec_same_graph(self):
-        spec = GenSpec(seed=99, n=8, model="gnp", p=0.4, coloring="uniform", palette_size=4)
+        spec = GenSpec(seed=99, n=8, model="gnp", p=0.4, palette_size=4)
         assert generate(spec) == generate(spec)
 
     def test_different_seed_usually_differs(self):
-        a = GenSpec(seed=1, n=8, model="gnp", p=0.5, coloring="uniform", palette_size=4)
-        b = GenSpec(seed=2, n=8, model="gnp", p=0.5, coloring="uniform", palette_size=4)
+        a = GenSpec(seed=1, n=8, model="gnp", p=0.5, palette_size=4)
+        b = GenSpec(seed=2, n=8, model="gnp", p=0.5, palette_size=4)
         assert generate(a) != generate(b)
 
     def test_golden_triangle(self):
         # frozen from the first run of this generator; guards the PRNG contract
         g = generate(
-            GenSpec(seed=1, n=3, model="gnp", p=1.0, coloring="uniform", palette_size=3)
+            GenSpec(seed=1, n=3, model="gnp", p=1.0, palette_size=3)
         )
         assert [(e.u, e.v, e.color) for e in g.edges] == [
             (0, 1, "c1"),
@@ -40,7 +40,7 @@ class TestSizeLimit:
         [
             GenSpec(seed=0, n=MAX_VERTICES + 1, model="complete", palette_size=1),
             GenSpec(seed=0, n=MAX_VERTICES + 1, model="gnp", p=1.0, palette_size=1),
-            GenSpec(seed=0, n=MAX_VERTICES + 2, model="complete_factorized", coloring=None),
+            GenSpec(seed=0, n=MAX_VERTICES + 2, model="complete_factorized"),
         ],
     )
     def test_one_past_the_limit_is_refused_before_allocating(self, spec):
@@ -56,35 +56,35 @@ class TestSizeLimit:
 
 class TestModels:
     def test_gnp_p_zero_is_empty(self):
-        g = generate(GenSpec(seed=3, n=5, model="gnp", p=0.0, coloring="uniform", palette_size=2))
+        g = generate(GenSpec(seed=3, n=5, model="gnp", p=0.0, palette_size=2))
         assert g.edges == () and g.n == 5
 
     def test_gnp_p_one_is_complete(self):
-        g = generate(GenSpec(seed=3, n=5, model="gnp", p=1.0, coloring="uniform", palette_size=2))
+        g = generate(GenSpec(seed=3, n=5, model="gnp", p=1.0, palette_size=2))
         assert len(g.edges) == 10
 
     def test_complete(self):
-        g = generate(GenSpec(seed=0, n=6, model="complete", coloring="uniform", palette_size=2))
+        g = generate(GenSpec(seed=0, n=6, model="complete", palette_size=2))
         assert len(g.edges) == 15
 
     def test_gnp_needs_probability(self):
         with pytest.raises(PreconditionError):
-            generate(GenSpec(seed=0, n=3, model="gnp", coloring="uniform", palette_size=1))
+            generate(GenSpec(seed=0, n=3, model="gnp", palette_size=1))
 
     def test_unknown_model(self):
         with pytest.raises(PreconditionError):
-            generate(GenSpec(seed=0, n=3, model="ring", coloring="uniform", palette_size=1))
+            generate(GenSpec(seed=0, n=3, model="ring", palette_size=1))
 
 
 class TestFactorized:
     def test_k4_structure(self):
-        g = generate(GenSpec(seed=0, n=4, model="complete_factorized", coloring=None))
+        g = generate(GenSpec(seed=0, n=4, model="complete_factorized"))
         assert len(g.edges) == 6
         assert color_census(g) == {"c0": 2, "c1": 2, "c2": 2}
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_each_color_is_a_perfect_matching(self, n):
-        g = generate(GenSpec(seed=0, n=n, model="complete_factorized", coloring=None))
+        g = generate(GenSpec(seed=0, n=n, model="complete_factorized"))
         assert len(g.edges) == n * (n - 1) // 2
         assert len(g.palette) == n - 1
         by_color = {}
@@ -97,15 +97,16 @@ class TestFactorized:
 
     def test_odd_order_rejected(self):
         with pytest.raises(PreconditionError):
-            generate(GenSpec(seed=0, n=5, model="complete_factorized", coloring=None))
+            generate(GenSpec(seed=0, n=5, model="complete_factorized"))
 
-    def test_explicit_coloring_rejected(self):
-        with pytest.raises(PreconditionError):
-            generate(GenSpec(seed=0, n=4, model="complete_factorized", coloring="uniform"))
+    def test_palette_size_and_k_are_ignored(self):
+        plain = generate(GenSpec(seed=0, n=6, model="complete_factorized"))
+        spec = GenSpec(seed=0, n=6, model="complete_factorized", palette_size=0, k=-1)
+        assert generate(spec) == plain
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_unit_budgets_always_admit_a_spanning_tree(self, n):
-        g = generate(GenSpec(seed=7, n=n, model="complete_factorized", coloring=None))
+        g = generate(GenSpec(seed=7, n=n, model="complete_factorized"))
         assert isinstance(solve(g, CapacityMap.uniform(1), 1), Found)
 
 
@@ -113,13 +114,13 @@ class TestColorings:
     def test_k_bounded_respects_the_ceiling(self):
         for seed in range(10):
             g = generate(
-                GenSpec(seed=seed, n=7, model="complete", coloring="k_bounded", palette_size=8, k=3)
+                GenSpec(seed=seed, n=7, model="complete", palette_size=8, k=3)
             )
             assert max(color_census(g).values()) <= 3
 
     def test_k_one_means_all_distinct(self):
         g = generate(
-            GenSpec(seed=4, n=5, model="complete", coloring="k_bounded", palette_size=10, k=1)
+            GenSpec(seed=4, n=5, model="complete", palette_size=10, k=1)
         )
         census = color_census(g)
         assert all(count == 1 for count in census.values())
@@ -127,14 +128,35 @@ class TestColorings:
     def test_k_bounded_infeasible(self):
         with pytest.raises(PreconditionError):
             generate(
-                GenSpec(seed=0, n=5, model="complete", coloring="k_bounded", palette_size=2, k=2)
+                GenSpec(seed=0, n=5, model="complete", palette_size=2, k=2)
             )
 
-    def test_capped_is_an_unknown_coloring(self):
-        with pytest.raises(PreconditionError, match="unknown coloring 'capped'"):
-            generate(GenSpec(seed=0, n=3, model="complete", coloring="capped"))
+    def test_k_picks_the_k_bounded_coloring(self):
+        # uniform draws put some color on two of K5's ten edges for this seed
+        uniform = generate(GenSpec(seed=4, n=5, model="complete", palette_size=10))
+        assert max(color_census(uniform).values()) > 1
+        bounded = generate(GenSpec(seed=4, n=5, model="complete", palette_size=10, k=1))
+        assert max(color_census(bounded).values()) == 1
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            (None, "uniform coloring needs palette_size >= 1"),
+            (2, "k_bounded coloring needs palette_size >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize("size", [None, 0])
+    def test_palette_size_message_names_the_coloring(self, k, message, size):
+        with pytest.raises(PreconditionError) as info:
+            generate(GenSpec(seed=0, n=3, model="complete", palette_size=size, k=k))
+        assert str(info.value) == message
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(PreconditionError) as info:
+            generate(GenSpec(seed=0, n=3, model="complete", palette_size=2, k=-1))
+        assert str(info.value) == "k_bounded coloring needs k >= 0"
 
     def test_uniform_declares_whole_palette(self):
-        g = generate(GenSpec(seed=0, n=3, model="gnp", p=0.0, coloring="uniform", palette_size=4))
+        g = generate(GenSpec(seed=0, n=3, model="gnp", p=0.0, palette_size=4))
         assert g.palette == {"c0", "c1", "c2", "c3"}
 

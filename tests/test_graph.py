@@ -13,6 +13,8 @@ from capforest import (
     PreconditionError,
     color_census,
     component_count,
+    density_sufficient,
+    oracle_condition,
 )
 
 PALETTE = ("a", "b", "c", "d")
@@ -80,15 +82,44 @@ class TestConstruction:
         # the duplicate key min * n + max must not collide across pairs
         n = 7
         pairs = [(v, u, "a") for u in range(n) for v in range(u + 1, n)]
-        assert ColoredGraph(n, pairs).edge_count == n * (n - 1) // 2
+        assert len(ColoredGraph(n, pairs).edges) == n * (n - 1) // 2
 
     def test_rejects_negative_vertex_count(self):
         with pytest.raises(GraphConstructionError):
             ColoredGraph(-1)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(n)
+        assert str(info.value) == f"vertex count must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize(
+        "edge, reason",
+        [
+            ((0, 1), "not enough values to unpack (expected 3, got 2)"),
+            ((0, 1, "a", "b"), "too many values to unpack (expected 3)"),
+            (5, "cannot unpack non-iterable int object"),
+        ],
+        ids=["pair", "quadruple", "int"],
+    )
+    def test_rejects_an_edge_that_is_not_a_triple(self, edge, reason):
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(2, [edge])
+        assert str(info.value) == f"edges must be (u, v, color) triples: {reason}"
+
     def test_palette_is_union_of_declared_and_present(self):
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({"b"}))
         assert g.palette == {"a", "b"}
+
+    def test_declared_palette_entries_become_strings(self):
+        # as edge colors do; a mixed palette cannot be sorted
+        g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({1}))
+        assert g.palette == {"1", "a"}
+        assert g.sorted_palette() == ["1", "a"]
+        caps = CapacityMap.uniform(1)
+        assert oracle_condition(g, caps, 1) is None
+        assert density_sufficient(g, caps, 1).guaranteed
 
     def test_edge_order_preserved(self):
         edges = [(2, 0, "c"), (0, 1, "a")]
@@ -173,7 +204,7 @@ class TestForest:
         )
 
     def test_empty_forest_isolates_all_vertices(self):
-        forest = Forest.empty(triangle())
+        forest = Forest(triangle())
         assert forest.num_components == 3
         assert forest.color_counts() == {}
 
@@ -190,7 +221,7 @@ class TestForest:
             Forest(triangle(), (0,))
 
     def test_host_mismatch_detected(self):
-        forest = Forest.empty(triangle())
+        forest = Forest(triangle())
         with pytest.raises(PreconditionError):
             forest.require_host(square_aabb())
 

@@ -126,7 +126,7 @@ class TestParseInstance:
         n = 7
         lines = [f"e {u} {v} a" for u in range(n) for v in range(u + 1, n)]
         inst = parse_instance(f"graph {n}\n" + "\n".join(lines) + "\n")
-        assert inst.graph.edge_count == n * (n - 1) // 2
+        assert len(inst.graph.edges) == n * (n - 1) // 2
 
 
 def readme_instance_example():
