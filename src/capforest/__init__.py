@@ -4,83 +4,62 @@ Given a graph whose edges carry colors, a budget for every color, and a
 target component count m, the solver either constructs a spanning forest
 with exactly m components that uses each color within its budget, or
 returns a violating color set certifying that no such forest exists.
+
+The names below are imported from their submodules on first use, so that
+``import capforest`` (and a ``capforest solve`` process) loads only the
+modules it runs.
 """
 
-from .bounds import (
-    ColorDensity,
-    DensityReport,
-    complete_graph_threshold,
-    density_sufficient,
-    max_edges_for_components,
-)
-from .certificates import (
-    Certificate,
-    evaluate_condition,
-    extract_certificate,
-    oracle_condition,
-    oracle_forest_search,
-)
-from .engine import (
-    Found,
-    Impossible,
-    SolveVerdict,
-    augment_step,
-    maximize_forest,
-    prune_to_components,
-    solve,
-)
-from .errors import (
-    CapforestError,
-    EmptyGraphError,
-    GraphConstructionError,
-    InstanceParseError,
-    InternalSolverError,
-    MissingCapacityError,
-    OracleLimitError,
-    PreconditionError,
-)
-from .generators import GenSpec, generate
-from .graph import (
-    CapacityMap,
-    ColoredGraph,
-    Edge,
-    Forest,
-    color_census,
-    component_count,
-)
+# public name -> the submodule that defines it
+_MODULE_OF = {
+    "ColorDensity": "bounds",
+    "DensityReport": "bounds",
+    "complete_graph_threshold": "bounds",
+    "density_sufficient": "bounds",
+    "max_edges_for_components": "bounds",
+    "Certificate": "certificates",
+    "evaluate_condition": "certificates",
+    "extract_certificate": "certificates",
+    "oracle_condition": "certificates",
+    "oracle_forest_search": "certificates",
+    "Found": "engine",
+    "Impossible": "engine",
+    "SolveVerdict": "engine",
+    "augment_step": "engine",
+    "maximize_forest": "engine",
+    "prune_to_components": "engine",
+    "solve": "engine",
+    "CapforestError": "errors",
+    "EmptyGraphError": "errors",
+    "GraphConstructionError": "errors",
+    "InstanceParseError": "errors",
+    "InternalSolverError": "errors",
+    "MissingCapacityError": "errors",
+    "OracleLimitError": "errors",
+    "PreconditionError": "errors",
+    "GenSpec": "generators",
+    "generate": "generators",
+    "CapacityMap": "graph",
+    "ColoredGraph": "graph",
+    "Edge": "graph",
+    "Forest": "graph",
+    "color_census": "graph",
+    "component_count": "graph",
+}
 
-__all__ = [
-    "CapacityMap",
-    "CapforestError",
-    "Certificate",
-    "ColorDensity",
-    "ColoredGraph",
-    "DensityReport",
-    "Edge",
-    "EmptyGraphError",
-    "Forest",
-    "Found",
-    "GenSpec",
-    "GraphConstructionError",
-    "Impossible",
-    "InstanceParseError",
-    "InternalSolverError",
-    "MissingCapacityError",
-    "OracleLimitError",
-    "PreconditionError",
-    "SolveVerdict",
-    "augment_step",
-    "color_census",
-    "complete_graph_threshold",
-    "component_count",
-    "density_sufficient",
-    "evaluate_condition",
-    "extract_certificate",
-    "generate",
-    "max_edges_for_components",
-    "maximize_forest",
-    "oracle_condition",
-    "oracle_forest_search",
-    "prune_to_components",
-    "solve",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,6 @@ the augmenting-path machinery.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     OracleLimitError,
     PreconditionError,
 )
-from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest
+from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest, Record
 
 if TYPE_CHECKING:
     from .engine import ExchangeGraph
@@ -58,8 +57,7 @@ def evaluate_condition(
     return remaining, budget
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Proof that no qualifying forest exists.
 
     Deleting the ``violating`` colors leaves ``omega_measured`` components,
@@ -67,9 +65,16 @@ class Certificate:
     colors' capacity total). Strictness is enforced at construction.
     """
 
+    __slots__ = __match_args__ = ("violating", "omega_measured", "bound")
     violating: frozenset[str]
     omega_measured: int
     bound: int
+
+    def __init__(self, violating: Iterable[str], omega_measured: int, bound: int):
+        object.__setattr__(self, "violating", violating)
+        object.__setattr__(self, "omega_measured", omega_measured)
+        object.__setattr__(self, "bound", bound)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "violating", frozenset(self.violating))

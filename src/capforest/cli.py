@@ -14,10 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-from .certificates import evaluate_condition, oracle_condition, oracle_forest_search
+# Only what ``solve`` runs is imported here; the other subcommands import
+# their modules when they run, so that a ``solve`` process starts fast.
 from .engine import Found, SolveVerdict, solve
 from .errors import CapforestError, InstanceParseError, InternalSolverError
-from .generators import GenSpec, generate
 from .graph import CapacityMap
 from .instance_io import (
     Instance,
@@ -27,7 +27,6 @@ from .instance_io import (
     parse_instance,
     resolve_capacities,
 )
-from . import sweeps
 
 EXIT_FOUND = 0
 EXIT_IMPOSSIBLE = 1
@@ -111,6 +110,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certificates import evaluate_condition
+
     instance = _load_instance(args.instance)
     caps = _load_capacities(args, instance)
     unknown = [c for c in args.colors if c not in instance.graph.palette]
@@ -132,6 +133,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .certificates import oracle_condition, oracle_forest_search
+
     instance = _load_instance(args.instance)
     caps = _load_capacities(args, instance)
     g, m = instance.graph, args.components
@@ -154,6 +157,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import GenSpec, generate
+
     spec = GenSpec(
         seed=args.seed,
         n=args.n,
@@ -171,6 +176,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweeps
+
     summary = sweeps.run_all(args.count, args.seed, max_n=args.max_n)
     for report in summary.reports:
         total = report.passed + report.failed

@@ -20,28 +20,33 @@ color set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest
+from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest, Record
 
 if TYPE_CHECKING:
     from .certificates import Certificate
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(Record):
     """A qualifying forest exists; here is one."""
 
+    __slots__ = __match_args__ = ("forest",)
     forest: Forest
 
+    def __init__(self, forest: Forest):
+        object.__setattr__(self, "forest", forest)
 
-@dataclass(frozen=True)
-class Impossible:
+
+class Impossible(Record):
     """No qualifying forest exists; the certificate proves it."""
 
+    __slots__ = __match_args__ = ("certificate",)
     certificate: Certificate
+
+    def __init__(self, certificate: Certificate):
+        object.__setattr__(self, "certificate", certificate)
 
 
 SolveVerdict = Found | Impossible

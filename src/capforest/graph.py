@@ -3,16 +3,15 @@
 Vertices are dense integer ids ``0..n-1``; input labels should be mapped to
 ids before construction. Colors are arbitrary strings compared and sorted
 lexicographically, and that order drives every deterministic iteration in
-the package. The three core types are immutable after construction and can
-be shared freely between threads; union-find scratch state is created per
-call.
+the package. The three core types are immutable records (:class:`Record`)
+and can be shared freely between threads; union-find scratch state is
+created per call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -22,6 +21,49 @@ from .errors import (
     MissingCapacityError,
     PreconditionError,
 )
+
+
+class FrozenRecordError(AttributeError):
+    """An attempt to assign or delete a field of a :class:`Record`."""
+
+
+class Record:
+    """Immutable value type over ``__slots__``, as a frozen dataclass is.
+
+    A subclass names its fields in ``__slots__`` (and ``__match_args__``),
+    sets them with ``object.__setattr__`` in its ``__init__``, and validates
+    them in ``__post_init__`` where it has to. Records compare equal by type
+    and fields, hash by fields, print as ``Type(field=value, ...)``, pickle
+    by re-construction, and refuse assignment and deletion with
+    :class:`FrozenRecordError`. They keep ``dataclasses`` (and ``inspect``)
+    out of a ``solve`` process, whose start-up outweighs its search.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Edge(NamedTuple):
@@ -59,8 +101,7 @@ class DisjointSet:
         return True
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(Record):
     """Simple undirected graph with one color label per edge.
 
     ``palette`` is the union of the colors occurring on edges and any
@@ -70,9 +111,21 @@ class ColoredGraph:
     deterministic solver output.
     """
 
+    __slots__ = __match_args__ = ("n", "edges", "palette")
     n: int
-    edges: tuple[Edge, ...] = ()
-    palette: frozenset[str] = frozenset()
+    edges: tuple[Edge, ...]
+    palette: frozenset[str]
+
+    def __init__(
+        self,
+        n: int,
+        edges: Iterable[tuple[int, int, str]] = (),
+        palette: Iterable[str] = frozenset(),
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "palette", palette)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.n
@@ -104,24 +157,48 @@ class ColoredGraph:
             if pair in seen:
                 raise GraphConstructionError(f"duplicate edge {{{u},{v}}}")
             seen.add(pair)
-        palette = frozenset(map(str, self.palette)) | {e.color for e in edges}
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "palette", palette)
+        _store_graph(self, n, edges, frozenset(map(str, self.palette)))
 
     def sorted_palette(self) -> list[str]:
         return sorted(self.palette)
 
 
-@dataclass(frozen=True)
-class CapacityMap:
+def _store_graph(
+    g: ColoredGraph, n: int, edges: tuple[Edge, ...], declared: frozenset[str]
+) -> ColoredGraph:
+    """Set the fields of ``g`` from input that has passed every check.
+
+    ``edges`` must be ``Edge`` triples with ``str`` colors, in range, loop-
+    and duplicate-free on ``n`` vertices; the palette is ``declared`` plus
+    the edge colors. ``ColoredGraph`` calls this after validating, and the
+    instance parser, which checks each edge as it reads it, calls it on a
+    bare ``ColoredGraph.__new__`` instead of validating twice.
+    """
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "palette", declared | {e.color for e in edges})
+    return g
+
+
+class CapacityMap(Record):
     """Total mapping from colors to non-negative integer edge budgets.
 
     A color resolves to its explicit entry, falling back to ``default``;
     querying a color with neither is a :class:`MissingCapacityError`.
     """
 
-    assignments: Mapping[str, int] = field(default_factory=dict)
-    default: int | None = None
+    __slots__ = __match_args__ = ("assignments", "default")
+    assignments: dict[str, int]
+    default: int | None
+
+    def __init__(
+        self,
+        assignments: Mapping[str, int] = {},  # copied, never mutated
+        default: int | None = None,
+    ):
+        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "default", default)
+        self.__post_init__()
 
     def __post_init__(self):
         assignments = {}
@@ -156,8 +233,7 @@ class CapacityMap:
         return sum(self.cap(c) for c in colors)
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Record):
     """Acyclic subset of a host graph's edges.
 
     ``members`` holds sorted indices into ``host.edges``. Spanning is
@@ -166,8 +242,14 @@ class Forest:
     ``n - size`` components.
     """
 
+    __slots__ = __match_args__ = ("host", "members")
     host: ColoredGraph
-    members: tuple[int, ...] = ()
+    members: tuple[int, ...]
+
+    def __init__(self, host: ColoredGraph, members: Iterable[int] = ()):
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "members", members)
+        self.__post_init__()
 
     def __post_init__(self):
         raw = tuple(self.members)

@@ -18,23 +18,33 @@ the sidecar wins; duplicate assignments within a single file are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InstanceParseError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, Forest
+from .graph import CapacityMap, ColoredGraph, Edge, Forest, Record, _store_graph
 
 # The solver allocates several lists of size n per search even on an
 # edgeless graph: solving one with 10**6 vertices peaks near 0.2 GB.
 MAX_VERTICES = 10**6
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A parsed instance file: the graph plus its inline capacities."""
 
+    __slots__ = __match_args__ = ("graph", "capacities", "default_capacity")
     graph: ColoredGraph
     capacities: dict[str, int]
     default_capacity: int | None
+
+    def __init__(
+        self,
+        graph: ColoredGraph,
+        capacities: dict[str, int],
+        default_capacity: int | None,
+    ):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "capacities", capacities)
+        object.__setattr__(self, "default_capacity", default_capacity)
 
 
 def _int_field(token: str, what: str, where: str) -> int:
@@ -147,7 +157,11 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
 
     if n is None:
         raise InstanceParseError(f"{source}: missing 'graph <n>' header")
-    return Instance(ColoredGraph(n, tuple(edges)), caps, default)
+    # every edge passed the checks ColoredGraph would repeat; tuple.__new__
+    # is what Edge._make calls, without its per-edge Python frame
+    checked = tuple(map(tuple.__new__, repeat(Edge), edges))
+    graph = _store_graph(ColoredGraph.__new__(ColoredGraph), n, checked, frozenset())
+    return Instance(graph, caps, default)
 
 
 def parse_capacity_file(

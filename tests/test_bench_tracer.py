@@ -29,6 +29,9 @@ def run(args, cwd):
     [
         (["solve", "inst.txt", "-m", "1", "--json"], "engine.solve"),
         (["sweep", "--count", "1"], "sweeps"),
+        (["certify", "inst.txt", "-m", "1", "--colors", "a"], "certificates.evaluate"),
+        (["gen", "--n", "4", "--p", "0.5", "--colors", "2"], "generators.generate"),
+        (["oracle", "inst.txt", "-m", "1"], "certificates.oracle_condition"),
     ],
 )
 def test_traced_run_matches_the_plain_run(tmp_path, command, span):

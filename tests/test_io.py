@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from capforest import (
     ColoredGraph,
@@ -9,6 +11,7 @@ from capforest import (
     PreconditionError,
     cli,
 )
+from capforest.graph import Edge
 from capforest.instance_io import (
     MAX_VERTICES,
     emit_instance,
@@ -152,6 +155,39 @@ class TestReadmeExample:
         path.write_text(readme_instance_example())
         assert cli.main(["solve", str(path), "-m", "2"]) == 0
         assert cli.main(["solve", str(path), "-m", "1"]) == 1
+
+
+@st.composite
+def instance_files(draw):
+    """A valid instance file, with the vertex count and edges it declares."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"graph {n}  # header"]
+    edges = []
+    for u, v in chosen:
+        if draw(st.booleans()):
+            u, v = v, u
+        color = draw(st.sampled_from(["a", "b", "c7", "7", "x-y", "\u00e4"]))
+        u_token = draw(st.sampled_from([str(u), f"0{u}", f"+{u}"]))
+        comment = draw(st.sampled_from(["", "  # note", " #"]))
+        lines.append(f"e {u_token} {v} {color}{comment}")
+        lines.extend(draw(st.lists(st.sampled_from(["", "# c"]), max_size=1)))
+        edges.append((u, v, color))
+    lines.extend(draw(st.lists(st.sampled_from(["fdefault 2", "f a 1"]), unique=True)))
+    return "\n".join(lines) + "\n", n, edges
+
+
+class TestParsedGraph:
+    """The parser stores the edges it checked without validating them again."""
+
+    @given(instance_files())
+    def test_equals_the_fully_validated_graph(self, case):
+        text, n, edges = case
+        graph = parse_instance(text).graph
+        assert graph == ColoredGraph(n, edges)
+        assert hash(graph) == hash(ColoredGraph(n, edges))
+        assert all(type(e) is Edge for e in graph.edges)
 
 
 class TestRoundTrip:
