@@ -12,12 +12,16 @@ Three laws are checked, each on its own stream of seeded instances:
   colors.
 
 Failures carry the instance's stream key (``"<seed>:<law>:<index>"``) so
-the exact case can be replayed.
+the exact case can be replayed. Every instance is independent, so
+:func:`run_all` splits the index range over the usable CPUs; its result is
+that of the law functions run over the whole range.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,9 +96,15 @@ def oracle_agreement_holds(g, caps, components) -> bool:
     return isinstance(verdict, Found) == (cert is None) == (forest is not None)
 
 
-def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
+# Each law function checks the instances ``start`` up to ``stop`` (exclusive);
+# ``run_<law>(count, seed)`` checks the first ``count``.
+
+
+def run_oracle_agreement(
+    stop: int, seed: int, *, max_n: int = 7, start: int = 0
+) -> LawReport:
     report = LawReport("oracle-agreement")
-    for index in range(count):
+    for index in range(start, stop):
         rng, key = _instance_rng(seed, "agreement", index)
         g, caps = sample_solver_instance(rng, max_n=max_n)
         ok = all(oracle_agreement_holds(g, caps, m) for m in range(1, g.n + 1))
@@ -143,9 +153,9 @@ def density_guarantee_instance(
     return g, caps, components
 
 
-def run_density_guarantee(count: int, seed: int) -> LawReport:
+def run_density_guarantee(stop: int, seed: int, *, start: int = 0) -> LawReport:
     report = LawReport("density-guarantee")
-    for index in range(count):
+    for index in range(start, stop):
         rng, key = _instance_rng(seed, "density", index)
         g, caps, components = density_guarantee_instance(rng, index)
         outcome = density_sufficient(g, caps, components)
@@ -157,9 +167,9 @@ def run_density_guarantee(count: int, seed: int) -> LawReport:
     return report
 
 
-def run_bounded_complete(count: int, seed: int) -> LawReport:
+def run_bounded_complete(stop: int, seed: int, *, start: int = 0) -> LawReport:
     report = LawReport("bounded-complete")
-    for index in range(count):
+    for index in range(start, stop):
         rng, key = _instance_rng(seed, "bounded", index)
         n = rng.randint(4, 9)
         k = n // 2
@@ -178,11 +188,101 @@ def run_bounded_complete(count: int, seed: int) -> LawReport:
     return report
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(start: int, stop: int, seed: int, max_n: int):
+    """All three laws on instances ``start..stop-1``, in law order.
+
+    Returns the reports of the laws that finished and the exception of the
+    one that raised, if any; the laws after it are not run, as in a
+    sequential sweep.
+    """
+    laws = (
+        lambda: run_oracle_agreement(stop, seed, max_n=max_n, start=start),
+        lambda: run_density_guarantee(stop, seed, start=start),
+        lambda: run_bounded_complete(stop, seed, start=start),
+    )
+    reports = []
+    for law in laws:
+        try:
+            reports.append(law())
+        except Exception as exc:  # re-raised by run_all, after every share ends
+            return reports, exc
+    return reports, None
+
+
+def _fork_share(start: int, stop: int, seed: int, max_n: int, siblings):
+    """Run one share in a forked child; return its pid and a pipe to its result.
+
+    The child writes the pickled result of :func:`_run_share` and leaves
+    with ``os._exit``, so it never returns into the caller's frames, runs
+    no exit handler and flushes no inherited buffer.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for _, reader in siblings:
+                reader.close()
+            with open(write_fd, "wb") as out:
+                out.write(pickle.dumps(_run_share(start, stop, seed, max_n)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _merge(results) -> SweepSummary:
+    """Combine the shares' results, as one sweep over their union reads.
+
+    A sequential sweep raises the exception of the earliest law, and within
+    that law of the earliest share. Otherwise each law's counts are summed,
+    and its first failure is the one of the earliest share that has one.
+    """
+    raised = [
+        (len(reports), share, exc)
+        for share, (reports, exc) in enumerate(results)
+        if exc is not None
+    ]
+    if raised:
+        raise min(raised, key=lambda entry: entry[:2])[2]
+    merged = []
+    for parts in zip(*(reports for reports, _ in results)):
+        report = LawReport(parts[0].name)
+        for part in parts:
+            report.passed += part.passed
+            report.failed += part.failed
+            if report.first_failing_key is None:
+                report.first_failing_key = part.first_failing_key
+        merged.append(report)
+    return SweepSummary(merged)
+
+
 def run_all(count: int, seed: int, *, max_n: int = 7) -> SweepSummary:
     """All three laws on ``count`` instances each.
 
     ``max_n`` must lie in ``1..MAX_VERTICES``: the sampler lists every
     vertex pair of each instance, as the generators do.
+
+    The range ``0..count-1`` is cut into one contiguous share per usable CPU
+    (at most ``count``). This process runs the first share, and a forked
+    child runs each other one; the result, and any exception raised, is
+    the one a sequential run gives. The process must have no other thread,
+    as fork copies only the calling one. Every child is reaped before this
+    returns or raises.
     """
     if count < 0:
         raise PreconditionError(f"instance count must be non-negative, got {count}")
@@ -190,10 +290,26 @@ def run_all(count: int, seed: int, *, max_n: int = 7) -> SweepSummary:
         raise PreconditionError(
             f"max_n must be in 1..{MAX_VERTICES}, got {max_n}"
         )
-    return SweepSummary(
-        [
-            run_oracle_agreement(count, seed, max_n=max_n),
-            run_density_guarantee(count, seed),
-            run_bounded_complete(count, seed),
-        ]
-    )
+    workers = max(1, min(_usable_cpus(), count)) if hasattr(os, "fork") else 1
+    cuts = [count * share // workers for share in range(workers + 1)]
+    shares = list(zip(cuts, cuts[1:]))
+    children = []
+    try:
+        for start, stop in shares[1:]:
+            children.append(_fork_share(start, stop, seed, max_n, children))
+        results = [_run_share(*shares[0], seed, max_n)]
+        for (_, reader), (start, stop) in zip(children, shares[1:]):
+            payload = reader.read()
+            if not payload:
+                raise InternalSolverError(
+                    f"sweep worker for instances {start}..{stop - 1} "
+                    "ended without a result"
+                )
+            results.append(pickle.loads(payload))
+    finally:
+        # closed first, so that a child blocked writing to the pipe ends
+        for _, reader in children:
+            reader.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    return _merge(results)
