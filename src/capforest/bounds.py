@@ -8,15 +8,14 @@ rational bound) must pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .graph import CapacityMap, ColoredGraph, color_census
 
 
-@dataclass(frozen=True)
-class ColorDensity:
+class ColorDensity(NamedTuple):
     """One color's share of the density check."""
 
     observed: int
@@ -24,8 +23,7 @@ class ColorDensity:
     ok: bool
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Outcome of the density-based sufficient condition.
 
     ``guaranteed`` is True when the graph has more than ``threshold`` edges

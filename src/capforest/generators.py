@@ -9,7 +9,7 @@ always yields a bit-for-bit identical graph. Golden-file tests depend on this.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .graph import ColoredGraph
@@ -19,8 +19,7 @@ from .graph import ColoredGraph
 MAX_VERTICES = 2000
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Deterministic recipe for one edge-colored graph.
 
     ``model`` picks the edge set: ``gnp`` keeps each pair with probability

@@ -23,20 +23,16 @@ from .errors import (
 )
 
 
-class FrozenRecordError(AttributeError):
-    """An attempt to assign or delete a field of a :class:`Record`."""
-
-
 class Record:
-    """Immutable value type over ``__slots__``, as a frozen dataclass is.
+    """Immutable value type over ``__slots__`` whose fields are validated.
 
     A subclass names its fields in ``__slots__`` (and ``__match_args__``),
     sets them with ``object.__setattr__`` in its ``__init__``, and validates
     them in ``__post_init__`` where it has to. Records compare equal by type
-    and fields, hash by fields, print as ``Type(field=value, ...)``, pickle
-    by re-construction, and refuse assignment and deletion with
-    :class:`FrozenRecordError`. They keep ``dataclasses`` (and ``inspect``)
-    out of a ``solve`` process, whose start-up outweighs its search.
+    and fields (never to a plain tuple), hash by fields, print as
+    ``Type(field=value, ...)``, pickle by re-construction, and refuse
+    assignment and deletion with ``AttributeError``. Plain data that needs
+    no validation is a ``typing.NamedTuple`` instead.
     """
 
     __slots__ = ()
@@ -57,10 +53,10 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise FrozenRecordError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenRecordError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), self._values()
@@ -134,6 +130,8 @@ class ColoredGraph(Record):
             raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphConstructionError("vertex count must be non-negative")
+        if isinstance(self.palette, str):  # else one color per character
+            raise GraphConstructionError(f"palette must not be a string: {self.palette!r}")
         try:
             edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
         except (TypeError, ValueError) as exc:

@@ -91,6 +91,15 @@ def _strip_comment(fields: list[str]) -> list[str]:
     return fields
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``open()`` reads them, so numbers match the file.
+
+    ``str.splitlines`` would also break at a form feed or a separator such as
+    ``\\x1c``, which ``str.split`` treats as whitespace inside a line instead.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
     """Parse instance text; errors carry ``source:line``."""
     n: int | None = None
@@ -99,7 +108,7 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
     caps: dict[str, int] = {}
     default: int | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if "#" in raw:
             fields = _strip_comment(fields)
@@ -170,7 +179,7 @@ def parse_capacity_file(
     """Parse a capacity sidecar; returns (assignments, default)."""
     caps: dict[str, int] = {}
     default: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         fields = _strip_comment(raw.split())
         if not fields:
             continue

@@ -11,10 +11,10 @@ Three laws are checked, each on its own stream of seeded instances:
   on at most n/2 edges always admit a spanning tree with all-distinct
   colors.
 
-Failures carry the instance's stream key (``"<seed>:<law>:<index>"``) so
-the exact case can be replayed. Every instance is independent, so
-:func:`run_all` splits the index range over the usable CPUs; its result is
-that of the law functions run over the whole range.
+Each law returns a :class:`LawReport`; a failure carries the instance's
+stream key (``"<seed>:<law>:<index>"``) so the case can be replayed. Every
+instance is independent, so :func:`run_all` splits the index range over the
+usable CPUs; its reports are those of the laws run over the whole range.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 import os
 import pickle
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import complete_graph_threshold, density_sufficient
 from .certificates import oracle_condition, oracle_forest_search
@@ -34,8 +34,9 @@ from .generators import MAX_VERTICES, GenSpec, generate
 from .graph import CapacityMap, ColoredGraph, color_census
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
+    """One law's tally: instances passed and failed, and the first failure."""
+
     name: str
     passed: int = 0
     failed: int = 0
@@ -45,22 +46,11 @@ class LawReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def record(self, ok: bool, key: str) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if self.first_failing_key is None:
-                self.first_failing_key = key
 
-
-@dataclass
-class SweepSummary:
-    reports: list[LawReport] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.reports)
+def _report(name: str, checked: range, failing: list[str]) -> LawReport:
+    """The report of a law run on the indices ``checked``, failing ``failing``."""
+    first = failing[0] if failing else None
+    return LawReport(name, len(checked) - len(failing), len(failing), first)
 
 
 def _instance_rng(seed: int, law: str, index: int) -> tuple[random.Random, str]:
@@ -103,13 +93,13 @@ def oracle_agreement_holds(g, caps, components) -> bool:
 def run_oracle_agreement(
     stop: int, seed: int, *, max_n: int = 7, start: int = 0
 ) -> LawReport:
-    report = LawReport("oracle-agreement")
+    failing = []
     for index in range(start, stop):
         rng, key = _instance_rng(seed, "agreement", index)
         g, caps = sample_solver_instance(rng, max_n=max_n)
-        ok = all(oracle_agreement_holds(g, caps, m) for m in range(1, g.n + 1))
-        report.record(ok, key)
-    return report
+        if not all(oracle_agreement_holds(g, caps, m) for m in range(1, g.n + 1)):
+            failing.append(key)
+    return _report("oracle-agreement", range(start, stop), failing)
 
 
 def density_guarantee_instance(
@@ -154,7 +144,7 @@ def density_guarantee_instance(
 
 
 def run_density_guarantee(stop: int, seed: int, *, start: int = 0) -> LawReport:
-    report = LawReport("density-guarantee")
+    failing = []
     for index in range(start, stop):
         rng, key = _instance_rng(seed, "density", index)
         g, caps, components = density_guarantee_instance(rng, index)
@@ -163,12 +153,13 @@ def run_density_guarantee(stop: int, seed: int, *, start: int = 0) -> LawReport:
             raise InternalSolverError(
                 f"sweep instance {key} was built to pass the density check"
             )
-        report.record(isinstance(solve(g, caps, components), Found), key)
-    return report
+        if not isinstance(solve(g, caps, components), Found):
+            failing.append(key)
+    return _report("density-guarantee", range(start, stop), failing)
 
 
 def run_bounded_complete(stop: int, seed: int, *, start: int = 0) -> LawReport:
-    report = LawReport("bounded-complete")
+    failing = []
     for index in range(start, stop):
         rng, key = _instance_rng(seed, "bounded", index)
         n = rng.randint(4, 9)
@@ -183,9 +174,9 @@ def run_bounded_complete(stop: int, seed: int, *, start: int = 0) -> LawReport:
                 k=k,
             )
         )
-        verdict = solve(g, CapacityMap.uniform(1), 1)
-        report.record(isinstance(verdict, Found), key)
-    return report
+        if not isinstance(solve(g, CapacityMap.uniform(1), 1), Found):
+            failing.append(key)
+    return _report("bounded-complete", range(start, stop), failing)
 
 
 def _usable_cpus() -> int:
@@ -245,7 +236,7 @@ def _fork_share(start: int, stop: int, seed: int, max_n: int, siblings):
     return pid, open(read_fd, "rb")
 
 
-def _merge(results) -> SweepSummary:
+def _merge(results) -> list[LawReport]:
     """Combine the shares' results, as one sweep over their union reads.
 
     A sequential sweep raises the exception of the earliest law, and within
@@ -259,28 +250,27 @@ def _merge(results) -> SweepSummary:
     ]
     if raised:
         raise min(raised, key=lambda entry: entry[:2])[2]
-    merged = []
-    for parts in zip(*(reports for reports, _ in results)):
-        report = LawReport(parts[0].name)
-        for part in parts:
-            report.passed += part.passed
-            report.failed += part.failed
-            if report.first_failing_key is None:
-                report.first_failing_key = part.first_failing_key
-        merged.append(report)
-    return SweepSummary(merged)
+    return [
+        LawReport(
+            parts[0].name,
+            sum(part.passed for part in parts),
+            sum(part.failed for part in parts),
+            next((part.first_failing_key for part in parts if part.failed), None),
+        )
+        for parts in zip(*(reports for reports, _ in results))
+    ]
 
 
-def run_all(count: int, seed: int, *, max_n: int = 7) -> SweepSummary:
-    """All three laws on ``count`` instances each.
+def run_all(count: int, seed: int, *, max_n: int = 7) -> list[LawReport]:
+    """The reports of all three laws, in law order, on ``count`` instances each.
 
     ``max_n`` must lie in ``1..MAX_VERTICES``: the sampler lists every
     vertex pair of each instance, as the generators do.
 
     The range ``0..count-1`` is cut into one contiguous share per usable CPU
     (at most ``count``). This process runs the first share, and a forked
-    child runs each other one; the result, and any exception raised, is
-    the one a sequential run gives. The process must have no other thread,
+    child runs each other one; the reports, and any exception raised, are
+    those a sequential run gives. The process must have no other thread,
     as fork copies only the calling one. Every child is reaped before this
     returns or raises.
     """

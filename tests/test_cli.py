@@ -492,9 +492,7 @@ class TestSweepCommand:
 
     def test_cli_reports_violations_with_exit_three(self, capsys, monkeypatch):
         def rigged(count, seed, max_n=7):
-            report = sweeps.LawReport("oracle-agreement")
-            report.record(False, f"{seed}:agreement:0")
-            return sweeps.SweepSummary([report])
+            return [sweeps.LawReport("oracle-agreement", 0, 1, f"{seed}:agreement:0")]
 
         monkeypatch.setattr(sweeps, "run_all", rigged)
         assert cli.main(["sweep", "--count", "1", "--seed", "9"]) == 3

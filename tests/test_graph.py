@@ -112,6 +112,12 @@ class TestConstruction:
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({"b"}))
         assert g.palette == {"a", "b"}
 
+    def test_rejects_a_string_palette(self):
+        # iterating "xy" would declare the colors "x" and "y"
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(3, [(0, 1, "ab")], palette="xy")
+        assert str(info.value) == "palette must not be a string: 'xy'"
+
     def test_declared_palette_entries_become_strings(self):
         # as edge colors do; a mixed palette cannot be sorted
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({1}))

@@ -131,6 +131,36 @@ class TestParseInstance:
         inst = parse_instance(f"graph {n}\n" + "\n".join(lines) + "\n")
         assert len(inst.graph.edges) == n * (n - 1) // 2
 
+    # str.splitlines breaks at each of these; a file read by open() does not
+    @pytest.mark.parametrize(
+        "sep", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_break_only_at_newlines(self, sep):
+        with pytest.raises(InstanceParseError) as info:
+            parse_instance(f"graph 2{sep}\ne 0 5 a\n", source="ff.txt")
+        assert str(info.value) == "ff.txt:2: vertex out of range 0..1"
+        inst = parse_instance(f"graph 2\ne 0{sep}1 a{sep}\nf a{sep}1\n")
+        assert [tuple(e) for e in inst.graph.edges] == [(0, 1, "a")]
+        assert inst.capacities == {"a": 1}
+        with pytest.raises(InstanceParseError) as info:
+            parse_capacity_file(f"f a 1{sep}\nf a 2\n", source="c.txt")
+        assert str(info.value) == "c.txt:2: duplicate capacity for color 'a'"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_texts_parse_as_lf_texts(self, newline):
+        assert parse_instance(SAMPLE.replace("\n", newline)) == parse_instance(SAMPLE)
+        with pytest.raises(InstanceParseError) as info:
+            parse_instance(newline.join(["graph 3", "", "e 0 3 a", ""]), source="f.txt")
+        assert str(info.value) == "f.txt:3: vertex out of range 0..2"
+        text = newline.join(["f a 1", "fdefault 2", ""])
+        assert parse_capacity_file(text) == ({"a": 1}, 2)
+
+    def test_solve_reports_the_line_of_the_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "ff.txt").write_bytes(b"graph 2\x0c\ne 0 5 a\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["solve", "ff.txt", "-m", "1"]) == 2
+        assert capsys.readouterr().err == "error: ff.txt:2: vertex out of range 0..1\n"
+
 
 def readme_instance_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -48,7 +48,7 @@ def sequential(count, seed, max_n=7):
 
 def parallel(monkeypatch, workers, count, seed, max_n=7):
     monkeypatch.setattr(sweeps, "_usable_cpus", lambda: workers)
-    return sweeps.run_all(count, seed, max_n=max_n).reports
+    return sweeps.run_all(count, seed, max_n=max_n)
 
 
 def hook_instances(monkeypatch, on_instance):
