@@ -5,10 +5,13 @@ failure: deleting every ``R``-colored edge leaves strictly more components
 than the target plus the total budget of ``R``, so no forest could bridge
 the gap. :func:`extract_certificate` reads such a set off the solver's
 final exchange-graph search, the one that finds no augmenting path, and
-re-verifies it by deleting the colors and counting components. The two
+re-verifies it by deleting the colors and counting components. The
 oracle functions answer the same question by brute force and exist to
 cross-check the solver on small instances; they must stay independent of
-the augmenting-path machinery.
+the augmenting-path machinery. Two of them answer it for one target
+component count; the other two compute, once per instance, the two sides
+of Edmonds' min-max equality, from which the verdict at every target
+follows.
 """
 
 from __future__ import annotations
@@ -137,6 +140,21 @@ def _lex_subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
     yield from rec(0)
 
 
+def _check_oracle_palette(g: ColoredGraph) -> None:
+    if len(g.palette) > ORACLE_MAX_PALETTE:
+        raise OracleLimitError(
+            f"palette of {len(g.palette)} colors exceeds the oracle limit "
+            f"of {ORACLE_MAX_PALETTE}"
+        )
+
+
+def _check_oracle_edges(g: ColoredGraph) -> None:
+    if len(g.edges) > ORACLE_MAX_EDGES:
+        raise OracleLimitError(
+            f"{len(g.edges)} edges exceed the search limit of {ORACLE_MAX_EDGES}"
+        )
+
+
 def oracle_condition(
     g: ColoredGraph, caps: CapacityMap, components: int
 ) -> Certificate | None:
@@ -147,17 +165,35 @@ def oracle_condition(
     inequality holds everywhere. Palettes beyond ``ORACLE_MAX_PALETTE``
     colors are refused.
     """
-    colors = sorted(g.palette)
-    if len(colors) > ORACLE_MAX_PALETTE:
-        raise OracleLimitError(
-            f"palette of {len(colors)} colors exceeds the oracle limit "
-            f"of {ORACLE_MAX_PALETTE}"
-        )
-    for subset in _lex_subsets(colors):
+    _check_oracle_palette(g)
+    for subset in _lex_subsets(sorted(g.palette)):
         remaining, budget = evaluate_condition(g, caps, components, subset)
         if remaining > budget:
             return Certificate(frozenset(subset), remaining, budget)
     return None
+
+
+def oracle_fewest_components(g: ColoredGraph, caps: CapacityMap) -> int:
+    """Fewest components of any capacity-respecting forest, from color sets.
+
+    Computes the maximum over all color sets ``R`` of the components left
+    after deleting ``R``'s edges minus ``R``'s capacity total. By Edmonds'
+    matroid intersection theorem this is the fewest components a forest
+    can have, so a forest with ``m`` components exists exactly when the
+    result is at most ``m``. Only colors that occur on edges are put in
+    ``R``: another color deletes nothing and costs its capacity. Palettes
+    beyond ``ORACLE_MAX_PALETTE`` colors are refused.
+    """
+    _check_oracle_palette(g)
+    fewest = 0
+    for subset in _lex_subsets(sorted({e.color for e in g.edges})):
+        banned = set(subset)
+        dsu = DisjointSet(g.n)
+        for u, v, color in g.edges:
+            if color not in banned:
+                dsu.union(u, v)
+        fewest = max(fewest, dsu.components - caps.total(subset))
+    return fewest
 
 
 class _RewindableDisjointSet:
@@ -201,10 +237,7 @@ def oracle_forest_search(
     as a :class:`Forest`, or None when none exists. Graphs beyond
     ``ORACLE_MAX_EDGES`` edges are refused.
     """
-    if len(g.edges) > ORACLE_MAX_EDGES:
-        raise OracleLimitError(
-            f"{len(g.edges)} edges exceed the search limit of {ORACLE_MAX_EDGES}"
-        )
+    _check_oracle_edges(g)
     need = g.n - components
     if need < 0 or need > len(g.edges):
         return None
@@ -237,3 +270,39 @@ def oracle_forest_search(
     if extend(0):
         return Forest(g, tuple(chosen))
     return None
+
+
+def oracle_largest_forest(g: ColoredGraph, caps: CapacityMap) -> int:
+    """Edge count of a largest capacity-respecting forest, by branch and bound.
+
+    Extends forests over the edges in increasing index order, abandons a
+    branch once the edges left cannot beat the largest forest found so far,
+    and stops at a spanning tree's ``n - 1`` edges. A forest with ``m``
+    components exists exactly when ``n - result <= m``. Graphs beyond
+    ``ORACLE_MAX_EDGES`` edges are refused.
+    """
+    _check_oracle_edges(g)
+    counts: dict[str, int] = {}
+    dsu = _RewindableDisjointSet(g.n)
+    total = len(g.edges)
+    tree = max(g.n - 1, 0)
+    best = 0
+
+    def extend(start: int, size: int) -> None:
+        nonlocal best
+        best = max(best, size)
+        for i in range(start, total):
+            if best == tree or size + total - i <= best:
+                return
+            e = g.edges[i]
+            if counts.get(e.color, 0) >= caps.cap(e.color):
+                continue
+            if not dsu.union(e.u, e.v):
+                continue
+            counts[e.color] = counts.get(e.color, 0) + 1
+            extend(i + 1, size + 1)
+            counts[e.color] -= 1
+            dsu.rewind()
+
+    extend(0, 0)
+    return best

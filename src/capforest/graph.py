@@ -130,8 +130,17 @@ class ColoredGraph(Record):
             raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphConstructionError("vertex count must be non-negative")
-        if isinstance(self.palette, str):  # else one color per character
-            raise GraphConstructionError(f"palette must not be a string: {self.palette!r}")
+        palette = self.palette
+        # else one color per character, or per byte value ("120" for b"x")
+        if isinstance(palette, (str, bytes, bytearray, memoryview)):
+            kind = "a string" if isinstance(palette, str) else "bytes"
+            raise GraphConstructionError(f"palette must not be {kind}: {palette!r}")
+        try:
+            declared = frozenset(map(str, palette))
+        except TypeError as exc:
+            raise GraphConstructionError(
+                f"palette must be an iterable of colors: {exc}"
+            ) from exc
         try:
             edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
         except (TypeError, ValueError) as exc:
@@ -155,7 +164,7 @@ class ColoredGraph(Record):
             if pair in seen:
                 raise GraphConstructionError(f"duplicate edge {{{u},{v}}}")
             seen.add(pair)
-        _store_graph(self, n, edges, frozenset(map(str, self.palette)))
+        _store_graph(self, n, edges, declared)
 
     def sorted_palette(self) -> list[str]:
         return sorted(self.palette)

@@ -2,9 +2,9 @@
 
 Three laws are checked, each on its own stream of seeded instances:
 
-* oracle agreement: the solver, the exhaustive subset oracle, and the
-  backtracking forest search must reach the same verdict for every target
-  component count;
+* oracle agreement: at every target component count, the solver must
+  reach the verdict that the exhaustive color-set oracle's fewest
+  components and the branch-and-bound search's largest forest both give;
 * density guarantee: whenever the density report says a forest is
   guaranteed, the solver must find one;
 * bounded complete: complete graphs on n vertices whose colors each appear
@@ -12,22 +12,19 @@ Three laws are checked, each on its own stream of seeded instances:
   colors.
 
 Each law returns a :class:`LawReport`; a failure carries the instance's
-stream key (``"<seed>:<law>:<index>"``) so the case can be replayed. Every
-instance is independent, so :func:`run_all` splits the index range over the
-usable CPUs; its reports are those of the laws run over the whole range.
+stream key (``"<seed>:<law>:<index>"``) so the case can be replayed.
+:func:`run_all` runs the three laws one after another in this process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import complete_graph_threshold, density_sufficient
-from .certificates import oracle_condition, oracle_forest_search
+from .certificates import oracle_fewest_components, oracle_largest_forest
 from .engine import Found, solve
 from .errors import InternalSolverError, PreconditionError
 from .generators import MAX_VERTICES, GenSpec, generate
@@ -47,10 +44,10 @@ class LawReport(NamedTuple):
         return self.failed == 0
 
 
-def _report(name: str, checked: range, failing: list[str]) -> LawReport:
-    """The report of a law run on the indices ``checked``, failing ``failing``."""
+def _report(name: str, count: int, failing: list[str]) -> LawReport:
+    """The report of a law run on ``count`` instances, failing ``failing``."""
     first = failing[0] if failing else None
-    return LawReport(name, len(checked) - len(failing), len(failing), first)
+    return LawReport(name, count - len(failing), len(failing), first)
 
 
 def _instance_rng(seed: int, law: str, index: int) -> tuple[random.Random, str]:
@@ -78,28 +75,25 @@ def sample_solver_instance(
     return g, caps
 
 
-def oracle_agreement_holds(g, caps, components) -> bool:
-    """Solver vs. both exhaustive oracles, one target component count."""
-    verdict = solve(g, caps, components)
-    cert = oracle_condition(g, caps, components)
-    forest = oracle_forest_search(g, caps, components)
-    return isinstance(verdict, Found) == (cert is None) == (forest is not None)
+def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
+    """Solver vs. both once-per-instance oracles, at every ``m`` in ``1..n``.
 
-
-# Each law function checks the instances ``start`` up to ``stop`` (exclusive);
-# ``run_<law>(count, seed)`` checks the first ``count``.
-
-
-def run_oracle_agreement(
-    stop: int, seed: int, *, max_n: int = 7, start: int = 0
-) -> LawReport:
+    A forest with ``m`` components exists exactly when the fewest
+    components from the color-set oracle, and ``n`` minus the largest
+    forest from the search, are each at most ``m``.
+    """
     failing = []
-    for index in range(start, stop):
+    for index in range(count):
         rng, key = _instance_rng(seed, "agreement", index)
         g, caps = sample_solver_instance(rng, max_n=max_n)
-        if not all(oracle_agreement_holds(g, caps, m) for m in range(1, g.n + 1)):
+        fewest = oracle_fewest_components(g, caps)
+        smallest = g.n - oracle_largest_forest(g, caps)
+        if not all(
+            isinstance(solve(g, caps, m), Found) == (fewest <= m) == (smallest <= m)
+            for m in range(1, g.n + 1)
+        ):
             failing.append(key)
-    return _report("oracle-agreement", range(start, stop), failing)
+    return _report("oracle-agreement", count, failing)
 
 
 def density_guarantee_instance(
@@ -143,9 +137,9 @@ def density_guarantee_instance(
     return g, caps, components
 
 
-def run_density_guarantee(stop: int, seed: int, *, start: int = 0) -> LawReport:
+def run_density_guarantee(count: int, seed: int) -> LawReport:
     failing = []
-    for index in range(start, stop):
+    for index in range(count):
         rng, key = _instance_rng(seed, "density", index)
         g, caps, components = density_guarantee_instance(rng, index)
         outcome = density_sufficient(g, caps, components)
@@ -155,12 +149,12 @@ def run_density_guarantee(stop: int, seed: int, *, start: int = 0) -> LawReport:
             )
         if not isinstance(solve(g, caps, components), Found):
             failing.append(key)
-    return _report("density-guarantee", range(start, stop), failing)
+    return _report("density-guarantee", count, failing)
 
 
-def run_bounded_complete(stop: int, seed: int, *, start: int = 0) -> LawReport:
+def run_bounded_complete(count: int, seed: int) -> LawReport:
     failing = []
-    for index in range(start, stop):
+    for index in range(count):
         rng, key = _instance_rng(seed, "bounded", index)
         n = rng.randint(4, 9)
         k = n // 2
@@ -176,103 +170,17 @@ def run_bounded_complete(stop: int, seed: int, *, start: int = 0) -> LawReport:
         )
         if not isinstance(solve(g, CapacityMap.uniform(1), 1), Found):
             failing.append(key)
-    return _report("bounded-complete", range(start, stop), failing)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_share(start: int, stop: int, seed: int, max_n: int):
-    """All three laws on instances ``start..stop-1``, in law order.
-
-    Returns the reports of the laws that finished and the exception of the
-    one that raised, if any; the laws after it are not run, as in a
-    sequential sweep.
-    """
-    laws = (
-        lambda: run_oracle_agreement(stop, seed, max_n=max_n, start=start),
-        lambda: run_density_guarantee(stop, seed, start=start),
-        lambda: run_bounded_complete(stop, seed, start=start),
-    )
-    reports = []
-    for law in laws:
-        try:
-            reports.append(law())
-        except Exception as exc:  # re-raised by run_all, after every share ends
-            return reports, exc
-    return reports, None
-
-
-def _fork_share(start: int, stop: int, seed: int, max_n: int, siblings):
-    """Run one share in a forked child; return its pid and a pipe to its result.
-
-    The child writes the pickled result of :func:`_run_share` and leaves
-    with ``os._exit``, so it never returns into the caller's frames, runs
-    no exit handler and flushes no inherited buffer.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            for _, reader in siblings:
-                reader.close()
-            with open(write_fd, "wb") as out:
-                out.write(pickle.dumps(_run_share(start, stop, seed, max_n)))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _merge(results) -> list[LawReport]:
-    """Combine the shares' results, as one sweep over their union reads.
-
-    A sequential sweep raises the exception of the earliest law, and within
-    that law of the earliest share. Otherwise each law's counts are summed,
-    and its first failure is the one of the earliest share that has one.
-    """
-    raised = [
-        (len(reports), share, exc)
-        for share, (reports, exc) in enumerate(results)
-        if exc is not None
-    ]
-    if raised:
-        raise min(raised, key=lambda entry: entry[:2])[2]
-    return [
-        LawReport(
-            parts[0].name,
-            sum(part.passed for part in parts),
-            sum(part.failed for part in parts),
-            next((part.first_failing_key for part in parts if part.failed), None),
-        )
-        for parts in zip(*(reports for reports, _ in results))
-    ]
+    return _report("bounded-complete", count, failing)
 
 
 def run_all(count: int, seed: int, *, max_n: int = 7) -> list[LawReport]:
     """The reports of all three laws, in law order, on ``count`` instances each.
 
-    ``max_n`` must lie in ``1..MAX_VERTICES``: the sampler lists every
-    vertex pair of each instance, as the generators do.
-
-    The range ``0..count-1`` is cut into one contiguous share per usable CPU
-    (at most ``count``). This process runs the first share, and a forked
-    child runs each other one; the reports, and any exception raised, are
-    those a sequential run gives. The process must have no other thread,
-    as fork copies only the calling one. Every child is reaped before this
-    returns or raises.
+    ``count`` must be non-negative, and ``max_n`` must lie in
+    ``1..MAX_VERTICES``: the sampler lists every vertex pair of each
+    instance, as the generators do. Both are checked before any law runs.
+    The laws then run one after another in this process, and an exception
+    raised by one ends the sweep there.
     """
     if count < 0:
         raise PreconditionError(f"instance count must be non-negative, got {count}")
@@ -280,26 +188,8 @@ def run_all(count: int, seed: int, *, max_n: int = 7) -> list[LawReport]:
         raise PreconditionError(
             f"max_n must be in 1..{MAX_VERTICES}, got {max_n}"
         )
-    workers = max(1, min(_usable_cpus(), count)) if hasattr(os, "fork") else 1
-    cuts = [count * share // workers for share in range(workers + 1)]
-    shares = list(zip(cuts, cuts[1:]))
-    children = []
-    try:
-        for start, stop in shares[1:]:
-            children.append(_fork_share(start, stop, seed, max_n, children))
-        results = [_run_share(*shares[0], seed, max_n)]
-        for (_, reader), (start, stop) in zip(children, shares[1:]):
-            payload = reader.read()
-            if not payload:
-                raise InternalSolverError(
-                    f"sweep worker for instances {start}..{stop - 1} "
-                    "ended without a result"
-                )
-            results.append(pickle.loads(payload))
-    finally:
-        # closed first, so that a child blocked writing to the pipe ends
-        for _, reader in children:
-            reader.close()
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-    return _merge(results)
+    return [
+        run_oracle_agreement(count, seed, max_n=max_n),
+        run_density_guarantee(count, seed),
+        run_bounded_complete(count, seed),
+    ]

@@ -20,9 +20,11 @@ from capforest import (
     oracle_condition,
     oracle_forest_search,
     solve,
+    sweeps,
 )
+from capforest.certificates import oracle_fewest_components, oracle_largest_forest
 from capforest.engine import ExchangeGraph
-from capforest.sweeps import oracle_agreement_holds, sample_solver_instance
+from capforest.sweeps import sample_solver_instance
 
 
 def path_aa():
@@ -202,6 +204,79 @@ class TestOracleForestSearch:
             oracle_forest_search(g, CapacityMap.uniform(9), 1)
 
 
+class TestOncePerInstanceOracles:
+    @staticmethod
+    def instances(count):
+        for index in range(count):
+            rng = random.Random(f"minmax:{index}")
+            yield f"minmax:{index}", *sample_solver_instance(rng)
+
+    def test_the_two_sides_of_the_min_max_equality_meet(self):
+        for key, g, caps in self.instances(300):
+            largest = oracle_largest_forest(g, caps)
+            assert oracle_fewest_components(g, caps) == g.n - largest, key
+            assert largest == helpers.brute_force_max_forest_size(g, caps), key
+
+    def test_each_number_gives_the_per_m_verdict(self):
+        for key, g, caps in self.instances(150):
+            fewest = oracle_fewest_components(g, caps)
+            largest = oracle_largest_forest(g, caps)
+            for m in range(1, g.n + 1):
+                holds = oracle_condition(g, caps, m) is None
+                assert holds == (fewest <= m), f"{key} m={m}"
+                found = oracle_forest_search(g, caps, m) is not None
+                assert found == (g.n - largest <= m), f"{key} m={m}"
+
+    def test_single_vertex(self):
+        g = ColoredGraph(1, palette=frozenset({"a"}))
+        assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
+        assert oracle_largest_forest(g, CapacityMap.uniform(1)) == 0
+
+    def test_no_edges(self):
+        g = ColoredGraph(4)
+        assert oracle_fewest_components(g, CapacityMap()) == 4
+        assert oracle_largest_forest(g, CapacityMap()) == 0
+
+    def test_all_capacities_zero(self):
+        g = square_aabb()
+        caps = CapacityMap({"a": 0, "b": 0})
+        assert oracle_fewest_components(g, caps) == 4
+        assert oracle_largest_forest(g, caps) == 0
+
+    def test_palette_limit(self):
+        at_limit = frozenset(f"x{i:02}" for i in range(16))
+        g = ColoredGraph(2, [(0, 1, "x00")], palette=at_limit)
+        assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
+        g = ColoredGraph(2, [(0, 1, "x00")], palette=at_limit | {"x16"})
+        with pytest.raises(OracleLimitError):
+            oracle_fewest_components(g, CapacityMap.uniform(1))
+
+    def test_edge_limit(self):
+        pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        g = ColoredGraph(7, [(u, v, "a") for u, v in pairs[:20]])
+        assert oracle_largest_forest(g, CapacityMap.uniform(9)) == 6
+        g = ColoredGraph(7, [(u, v, "a") for u, v in pairs[:21]])
+        with pytest.raises(OracleLimitError):
+            oracle_largest_forest(g, CapacityMap.uniform(9))
+
+    def test_an_off_by_one_oracle_fails_the_agreement_law(self, monkeypatch):
+        # one edge short wherever a forest has edges; seed 11 draws instances
+        # 0..3 with none, so the first failure is not the first instance
+        real = sweeps.oracle_largest_forest
+        failing = []
+        for index in range(40):
+            rng, key = sweeps._instance_rng(11, "agreement", index)
+            if real(*sample_solver_instance(rng)):
+                failing.append(key)
+        assert failing[0] == "11:agreement:4"
+        monkeypatch.setattr(
+            sweeps, "oracle_largest_forest", lambda g, caps: max(real(g, caps) - 1, 0)
+        )
+        report = sweeps.run_oracle_agreement(40, 11)
+        assert (report.passed, report.failed) == (40 - len(failing), len(failing))
+        assert report.first_failing_key == failing[0]
+
+
 class TestEvaluateCondition:
     def test_matches_independent_count(self):
         g = square_aabb()
@@ -228,12 +303,20 @@ class TestEvaluateCondition:
 
 
 class TestAgreementSweep:
+    @staticmethod
+    def oracle_agreement_holds(g, caps, components):
+        """Solver vs. both per-m exhaustive oracles, one target component count."""
+        verdict = solve(g, caps, components)
+        cert = oracle_condition(g, caps, components)
+        forest = oracle_forest_search(g, caps, components)
+        return isinstance(verdict, Found) == (cert is None) == (forest is not None)
+
     def test_three_routes_agree_on_random_instances(self):
         for index in range(120):
             rng = random.Random(f"agree:{index}")
             g, caps = sample_solver_instance(rng)
             for m in range(1, g.n + 1):
-                assert oracle_agreement_holds(g, caps, m), f"agree:{index} m={m}"
+                assert self.oracle_agreement_holds(g, caps, m), f"agree:{index} m={m}"
 
     def test_every_certificate_reverified_independently(self):
         seen = 0

@@ -118,6 +118,29 @@ class TestConstruction:
             ColoredGraph(3, [(0, 1, "ab")], palette="xy")
         assert str(info.value) == "palette must not be a string: 'xy'"
 
+    @pytest.mark.parametrize(
+        "palette", [b"xy", bytearray(b"xy"), memoryview(b"xy")]
+    )
+    def test_rejects_a_bytes_palette(self, palette):
+        # iterating b"xy" would declare the colors "120" and "121"
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(3, [(0, 1, "ab")], palette=palette)
+        assert str(info.value) == f"palette must not be bytes: {palette!r}"
+
+    @pytest.mark.parametrize(
+        "palette, kind", [(None, "NoneType"), (5, "int")]
+    )
+    def test_rejects_a_palette_that_is_not_iterable(self, palette, kind):
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(3, [(0, 1, "ab")], palette=palette)
+        assert str(info.value) == (
+            f"palette must be an iterable of colors: '{kind}' object is not iterable"
+        )
+
+    def test_a_palette_may_be_any_iterable_of_colors(self):
+        g = ColoredGraph(2, [(0, 1, "a")], palette=iter(["b", "c"]))
+        assert g.palette == {"a", "b", "c"}
+
     def test_declared_palette_entries_become_strings(self):
         # as edge colors do; a mixed palette cannot be sorted
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({1}))

@@ -158,7 +158,7 @@ class TestImportSet:
         assert impossible - found == {"capforest.certificates"}
 
     def test_sweep_loads_no_process_pool(self, tmp_path):
-        # run_all forks its workers itself: these imports alone cost 10-14 ms
+        # a sweep runs in one process; a pool's imports alone would cost 10-14 ms
         code, loaded = loaded_modules(tmp_path, "sweep", "--count", "2")
         assert code == 0
         assert "capforest.sweeps" in loaded
