@@ -66,7 +66,10 @@ def density_sufficient(
 
     The per-color observed counts come from the graph's own census (the
     tightest bound on its coloring). ``components`` must lie in ``1..n-1``;
-    the condition is not stated for ``components = n``.
+    the condition is not stated for ``components = n``. The edge threshold
+    is :func:`max_edges_for_components` at ``components + 1``: a graph with
+    more edges than any graph with ``components + 1`` components can have
+    has at most ``components`` components.
     """
     n = g.n
     if not 1 <= components <= n - 1:
@@ -74,7 +77,7 @@ def density_sufficient(
             f"component count must be in 1..{n - 1}, got {components}"
         )
     edge_count = len(g.edges)
-    threshold = math.comb(n - components, 2)
+    threshold = max_edges_for_components(n, components + 1)
     ratio = Fraction(edge_count, n - components)
     census = color_census(g)
     per_color: dict[str, ColorDensity] = {}

@@ -11,7 +11,7 @@ cross-check the solver on small instances; they must stay independent of
 the augmenting-path machinery. Two of them answer it for one target
 component count; the other two compute, once per instance, the two sides
 of Edmonds' min-max equality, from which the verdict at every target
-follows.
+follows. Both forest oracles run one branch and bound.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ ORACLE_MAX_PALETTE = 16
 ORACLE_MAX_EDGES = 20
 
 
+def _components_without(g: ColoredGraph, colors: set[str]) -> int:
+    dsu = DisjointSet(g.n)
+    for u, v, color in g.edges:
+        if color not in colors:
+            dsu.union(u, v)
+    return dsu.components
+
+
 def evaluate_condition(
     g: ColoredGraph, caps: CapacityMap, components: int, colors: Iterable[str]
 ) -> tuple[int, int]:
@@ -51,13 +59,7 @@ def evaluate_condition(
         raise PreconditionError(
             f"component count must be in 1..{g.n}, got {components}"
         )
-    dsu = DisjointSet(g.n)
-    for u, v, color in g.edges:
-        if color not in colors:
-            dsu.union(u, v)
-    remaining = dsu.components
-    budget = components + caps.total(colors)
-    return remaining, budget
+    return _components_without(g, colors), components + caps.total(colors)
 
 
 class Certificate(Record):
@@ -91,24 +93,22 @@ class Certificate(Record):
         return sorted(self.violating)
 
 
-def extract_certificate(
-    g: ColoredGraph, caps: CapacityMap, components: int, search: ExchangeGraph
-) -> Certificate:
+def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
     """Read a violating color set off a search that found no augmenting path.
 
-    ``search`` must be an exchange graph of ``g`` and ``caps`` whose
+    ``search`` must be an exchange graph whose
     :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` has
     returned None, and its forest must fall short of ``n - components``
-    edges (both checked). The violating set is the colors of the outside
-    edges the search reached from the sources: by Edmonds' matroid
-    intersection min-max theorem the reached set is a minimum cut, so
-    deleting its colors leaves more components than the target plus their
-    budget. Rather than trust this, the set is re-verified by direct
-    computation, and :class:`Certificate` refuses it unless the inequality
-    is violated strictly.
+    edges (both checked); the graph and the budgets are the search's own.
+    The violating set is the colors of the outside edges the search reached
+    from the sources: by Edmonds' matroid intersection min-max theorem the
+    reached set is a minimum cut, so deleting its colors leaves more
+    components than the target plus their budget. Rather than trust this,
+    the set is re-verified by direct computation, and :class:`Certificate`
+    refuses it unless the inequality is violated strictly.
     """
     forest = search.forest
-    forest.require_host(g)
+    g = forest.host
     if forest.size >= g.n - components:
         raise PreconditionError(
             "forest already reaches the component target; nothing to certify"
@@ -122,7 +122,7 @@ def extract_certificate(
     violating = frozenset(
         g.edges[i].color for i in search.reached if i not in members
     )
-    remaining, budget = evaluate_condition(g, caps, components, violating)
+    remaining, budget = evaluate_condition(g, search.caps, components, violating)
     return Certificate(violating, remaining, budget)
 
 
@@ -185,15 +185,10 @@ def oracle_fewest_components(g: ColoredGraph, caps: CapacityMap) -> int:
     beyond ``ORACLE_MAX_PALETTE`` colors are refused.
     """
     _check_oracle_palette(g)
-    fewest = 0
-    for subset in _lex_subsets(sorted({e.color for e in g.edges})):
-        banned = set(subset)
-        dsu = DisjointSet(g.n)
-        for u, v, color in g.edges:
-            if color not in banned:
-                dsu.union(u, v)
-        fewest = max(fewest, dsu.components - caps.total(subset))
-    return fewest
+    return max(
+        _components_without(g, set(subset)) - caps.total(subset)
+        for subset in _lex_subsets(sorted({e.color for e in g.edges}))
+    )
 
 
 class _RewindableDisjointSet:
@@ -227,82 +222,72 @@ class _RewindableDisjointSet:
         self.size[ra] -= self.size[rb]
 
 
-def oracle_forest_search(
-    g: ColoredGraph, caps: CapacityMap, components: int
-) -> Forest | None:
-    """Backtracking search for a qualifying forest, independent of the solver.
+def _forest_search(
+    g: ColoredGraph, caps: CapacityMap, target: int
+) -> tuple[int, ...]:
+    """Branch and bound over capacity-respecting forests, by edge index.
 
-    Enumerates acyclic, capacity-respecting edge subsets of size
-    ``n - components`` in increasing index order and returns the first hit
-    as a :class:`Forest`, or None when none exists. Graphs beyond
-    ``ORACLE_MAX_EDGES`` edges are refused.
+    Extends forests over the edges in increasing index order, stops at the
+    first forest of ``target`` edges, and abandons a branch once the edges
+    left cannot beat the largest forest found so far. Until the target is
+    reached that forest is smaller than it, so no abandoned branch holds a
+    forest of ``target`` edges. Returns the members of the first such
+    forest in index order, or of the first largest forest when none exists.
     """
-    _check_oracle_edges(g)
-    need = g.n - components
-    if need < 0 or need > len(g.edges):
-        return None
-
+    edges = g.edges
+    total = len(edges)
     counts: dict[str, int] = {}
     chosen: list[int] = []
     dsu = _RewindableDisjointSet(g.n)
-    total = len(g.edges)
+    best: tuple[int, ...] = ()
 
-    def extend(start: int) -> bool:
-        if len(chosen) == need:
-            return True
+    def extend(start: int) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
         for i in range(start, total):
-            if total - i < need - len(chosen):
-                return False
-            e = g.edges[i]
+            if len(best) >= target or len(chosen) + total - i <= len(best):
+                return
+            e = edges[i]
             if counts.get(e.color, 0) >= caps.cap(e.color):
                 continue
             if not dsu.union(e.u, e.v):
                 continue
             counts[e.color] = counts.get(e.color, 0) + 1
             chosen.append(i)
-            if extend(i + 1):
-                return True
+            extend(i + 1)
             chosen.pop()
             counts[e.color] -= 1
             dsu.rewind()
-        return False
 
-    if extend(0):
-        return Forest(g, tuple(chosen))
-    return None
+    extend(0)
+    return best
+
+
+def oracle_forest_search(
+    g: ColoredGraph, caps: CapacityMap, components: int
+) -> Forest | None:
+    """Backtracking search for a qualifying forest, independent of the solver.
+
+    Returns the first acyclic, capacity-respecting edge subset of size
+    ``n - components`` in increasing index order as a :class:`Forest`, or
+    None when none exists. Graphs beyond ``ORACLE_MAX_EDGES`` edges are
+    refused.
+    """
+    _check_oracle_edges(g)
+    need = g.n - components
+    if need < 0 or need > len(g.edges):
+        return None
+    members = _forest_search(g, caps, need)
+    return Forest(g, members) if len(members) == need else None
 
 
 def oracle_largest_forest(g: ColoredGraph, caps: CapacityMap) -> int:
     """Edge count of a largest capacity-respecting forest, by branch and bound.
 
-    Extends forests over the edges in increasing index order, abandons a
-    branch once the edges left cannot beat the largest forest found so far,
-    and stops at a spanning tree's ``n - 1`` edges. A forest with ``m``
-    components exists exactly when ``n - result <= m``. Graphs beyond
-    ``ORACLE_MAX_EDGES`` edges are refused.
+    The search stops early at a spanning tree's ``n - 1`` edges. A forest
+    with ``m`` components exists exactly when ``n - result <= m``. Graphs
+    beyond ``ORACLE_MAX_EDGES`` edges are refused.
     """
     _check_oracle_edges(g)
-    counts: dict[str, int] = {}
-    dsu = _RewindableDisjointSet(g.n)
-    total = len(g.edges)
-    tree = max(g.n - 1, 0)
-    best = 0
-
-    def extend(start: int, size: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        for i in range(start, total):
-            if best == tree or size + total - i <= best:
-                return
-            e = g.edges[i]
-            if counts.get(e.color, 0) >= caps.cap(e.color):
-                continue
-            if not dsu.union(e.u, e.v):
-                continue
-            counts[e.color] = counts.get(e.color, 0) + 1
-            extend(i + 1, size + 1)
-            counts[e.color] -= 1
-            dsu.rewind()
-
-    extend(0, 0)
-    return best
+    return len(_forest_search(g, caps, g.n - 1))

@@ -159,12 +159,20 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     from .generators import GenSpec, generate
 
+    unread = {"complete": ("p",), "complete-factorized": ("p", "colors", "k")}
+    given = [
+        f"--{flag}"
+        for flag in unread.get(args.model, ())
+        if getattr(args, flag) is not None
+    ]
+    if given:
+        raise CapforestError(f"the {args.model} model does not read {' '.join(given)}")
     spec = GenSpec(
         seed=args.seed,
         n=args.n,
         model=args.model.replace("-", "_"),
         p=args.p,
-        palette_size=args.colors,
+        palette_size=1 if args.colors is None else args.colors,
         k=args.k,
     )
     text = emit_instance(generate(spec))
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--p", type=float, help="gnp edge probability")
-    p_gen.add_argument("--colors", type=int, default=1, help="palette size")
+    p_gen.add_argument("--colors", type=int, help="palette size (default 1)")
     p_gen.add_argument("--k", type=int, help="max edges per color (shuffled pool)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", help="output file (default: stdout)")

@@ -63,7 +63,8 @@ class ExchangeGraph:
     fully-used color to the member edges of that color.
 
     The forest must live on ``g`` and respect ``caps``; otherwise the
-    constructor raises :class:`PreconditionError`. A search that finds no
+    constructor raises :class:`PreconditionError`. The forest and the
+    budgets are kept as ``forest`` and ``caps``. A search that finds no
     path leaves the nodes it reached in ``reached``; the colors of the
     reached outside edges form a violating color set
     (:func:`capforest.certificates.extract_certificate`).
@@ -128,7 +129,7 @@ class ExchangeGraph:
 
         self.forest = forest
         self.reached: frozenset[int] | None = None
-        self._caps = caps
+        self.caps = caps
         self._edges = edges
         self._member_set = member_set
         self._members_by_color = members_by_color
@@ -191,7 +192,7 @@ class ExchangeGraph:
             raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
         counts = bigger.color_counts()
         if bigger.size != forest.size + 1 or any(
-            count > self._caps.cap(color) for color, count in counts.items()
+            count > self.caps.cap(color) for color, count in counts.items()
         ):
             raise InternalSolverError("augmentation produced an invalid forest")
         return bigger
@@ -294,4 +295,4 @@ def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> SolveVerdict:
         return Found(prune_to_components(search.forest, components))
     from .certificates import extract_certificate
 
-    return Impossible(extract_certificate(g, caps, components, search))
+    return Impossible(extract_certificate(search, components))

@@ -43,3 +43,17 @@ def test_traced_run_matches_the_plain_run(tmp_path, command, span):
     assert traced.stdout == plain.stdout
     spans = json.loads((tmp_path / "trace.json").read_text())
     assert spans["calls"][span] >= 1
+
+
+def test_traced_impossible_solve_records_the_certificate(tmp_path):
+    (tmp_path / "inst.txt").write_text("graph 3\nfdefault 1\ne 0 1 a\ne 1 2 a\n")
+    command = ["solve", "inst.txt", "-m", "1", "--json"]
+    plain = run(["-m", "capforest", *command], tmp_path)
+    traced = run([str(TRACER), "trace.json", *command], tmp_path)
+    assert plain.returncode == 1, plain.stderr
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(plain.stdout)["violating_colors"] == ["a"]
+    spans = json.loads((tmp_path / "trace.json").read_text())
+    assert spans["calls"]["certificates.extract"] == 1
+    assert spans["calls"]["certificates.evaluate"] == 1

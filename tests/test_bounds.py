@@ -109,6 +109,17 @@ class TestDensitySufficient:
         assert not report.per_color["c0"].ok
         assert not report.guaranteed
 
+    def test_threshold_is_the_extremal_count_for_one_more_component(self):
+        for n in range(2, 10):
+            g = clique_plus_isolated(n, 1)
+            for m in range(1, n):
+                report = density_sufficient(g, CapacityMap.uniform(1), m)
+                assert report.threshold == math.comb(n - m, 2), (n, m)
+                # a graph with more edges has at most m components
+                sparse = clique_plus_isolated(n, m + 1)
+                assert len(sparse.edges) == report.threshold
+                assert component_count(sparse) == m + 1
+
     def test_sparse_graph_fails_the_density_clause(self):
         g = ColoredGraph(5, [(0, 1, "a")])
         report = density_sufficient(g, CapacityMap.uniform(5), 1)

@@ -50,14 +50,14 @@ class TestExtractCertificate:
     def test_two_step_peel_on_one_color_path(self):
         g = path_aa()
         caps = CapacityMap({"a": 1})
-        cert = extract_certificate(g, caps, 1, final_search(g, caps))
+        cert = extract_certificate(final_search(g, caps), 1)
         assert cert.violating == {"a"}
         assert cert.omega_measured == 3 and cert.bound == 2
 
     def test_square_peels_both_colors(self):
         g = square_aabb()
         caps = CapacityMap.uniform(1)
-        cert = extract_certificate(g, caps, 1, final_search(g, caps))
+        cert = extract_certificate(final_search(g, caps), 1)
         assert cert.violating == {"a", "b"}
         assert cert.omega_measured == 4 and cert.bound == 3
         # brute force: {a, b} is the only violating subset on this instance
@@ -72,7 +72,7 @@ class TestExtractCertificate:
     def test_disconnected_graph_yields_empty_color_set(self):
         g = ColoredGraph(3, [(0, 1, "a")])
         caps = CapacityMap({"a": 1})
-        cert = extract_certificate(g, caps, 1, final_search(g, caps))
+        cert = extract_certificate(final_search(g, caps), 1)
         assert cert.violating == frozenset()
         assert cert.omega_measured == 2 and cert.bound == 1
 
@@ -82,25 +82,29 @@ class TestExtractCertificate:
         search = ExchangeGraph(g, caps, Forest(g))
         assert search.shortest_augmenting_path() is not None
         with pytest.raises(PreconditionError):
-            extract_certificate(g, caps, 1, search)
+            extract_certificate(search, 1)
 
     def test_rejects_search_that_never_ran(self):
         g = path_aa()
         caps = CapacityMap({"a": 1})
         search = ExchangeGraph(g, caps, maximize_forest(g, caps))
         with pytest.raises(PreconditionError):
-            extract_certificate(g, caps, 1, search)
+            extract_certificate(search, 1)
 
     def test_rejects_forest_that_already_reaches_target(self):
         g = triangle()
         caps = CapacityMap.uniform(1)
         with pytest.raises(PreconditionError):
-            extract_certificate(g, caps, 1, final_search(g, caps))
+            extract_certificate(final_search(g, caps), 1)
 
-    def test_rejects_search_on_another_host(self):
-        caps = CapacityMap.uniform(1)
-        with pytest.raises(PreconditionError):
-            extract_certificate(triangle(), caps, 1, final_search(path_aa(), caps))
+    def test_bound_comes_from_the_search_budgets(self):
+        g = path_aa()
+        for cap in range(2):
+            search = final_search(g, CapacityMap({"a": cap}))
+            cert = extract_certificate(search, 1)
+            assert cert.violating == {"a"}
+            assert cert.omega_measured == 3 and cert.bound == 1 + cap
+            assert cert.bound == 1 + search.caps.total(cert.violating)
 
     def test_impossible_solve_builds_one_exchange_graph_per_augmentation_plus_one(
         self, monkeypatch

@@ -441,11 +441,51 @@ class TestGenCommand:
         assert captured.err == f"error: {message}\n"
 
     def test_factorized_ignores_colors_and_k(self, capsys):
+        # the name is kept from when these flags were silently dropped
         base = ["gen", "--model", "complete-factorized", "--n", "6"]
-        assert cli.main(base) == 0
-        plain = capsys.readouterr().out
-        assert cli.main([*base, "--colors", "0", "--k", "-1"]) == 0
-        assert capsys.readouterr().out == plain
+        assert cli.main([*base, "--colors", "0", "--k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the complete-factorized model does not read --colors --k\n"
+        )
+
+    @pytest.mark.parametrize(
+        "model, flags, unread",
+        [
+            ("complete", ["--p", "0.5"], "--p"),
+            ("complete", ["--p", "0.5", "--colors", "2", "--k", "3"], "--p"),
+            ("complete-factorized", ["--p", "1"], "--p"),
+            ("complete-factorized", ["--colors", "1"], "--colors"),
+            ("complete-factorized", ["--k", "3"], "--k"),
+            ("complete-factorized", ["--k", "3", "--p", "0", "--colors", "5"],
+             "--p --colors --k"),
+        ],
+    )
+    def test_flags_the_model_does_not_read_are_refused(
+        self, model, flags, unread, capsys, tmp_path
+    ):
+        out = tmp_path / "g.txt"
+        args = ["gen", "--model", model, "--n", "4", *flags, "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the {model} model does not read {unread}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--model", "gnp", "--n", "5", "--p", "0.5"],
+            ["--model", "complete", "--n", "5"],
+        ],
+    )
+    def test_absent_colors_means_one_color(self, args, capsys):
+        assert cli.main(["gen", *args]) == 0
+        absent = capsys.readouterr().out
+        assert cli.main(["gen", *args, "--colors", "1"]) == 0
+        assert capsys.readouterr().out == absent
+        assert {e.color for e in parse_instance(absent).graph.edges} == {"c0"}
 
 
 class TestSweepCommand:
