@@ -2,8 +2,8 @@
 
 The maximiser starts from a greedy forest: edges in index order, each kept
 when it joins two components and its color has spare budget. It then grows
-the forest one edge at a time. Each step, :meth:`ExchangeGraph.augment`,
-searches an exchange structure over edge indices: swapping a forest edge
+the forest one edge at a time. Each step, :func:`augment_step`, searches
+an exchange structure over edge indices: swapping a forest edge
 for an outside edge is safe when it either preserves acyclicity (the
 forest edge lies on the unique forest path between the outside edge's
 endpoints) or preserves the per-color budgets (both edges carry the same
@@ -62,16 +62,16 @@ class ExchangeGraph:
     whose forest path contains it, and from an outside edge with a
     fully-used color to the member edges of that color.
 
-    The forest must live on ``g`` and respect ``caps``; otherwise the
-    constructor raises :class:`PreconditionError`. The forest and the
-    budgets are kept as ``forest`` and ``caps``. A search that finds no
-    path leaves the nodes it reached in ``reached``; the colors of the
+    The graph is the forest's host. The forest must respect ``caps``;
+    otherwise the constructor raises :class:`PreconditionError`. The forest
+    and the budgets are kept as ``forest`` and ``caps``. A search that finds
+    no path leaves the nodes it reached in ``reached``; the colors of the
     reached outside edges form a violating color set
     (:func:`capforest.certificates.extract_certificate`).
     """
 
-    def __init__(self, g: ColoredGraph, caps: CapacityMap, forest: Forest):
-        forest.require_host(g)
+    def __init__(self, caps: CapacityMap, forest: Forest):
+        g = forest.host
         edges = g.edges
         members_by_color: dict[str, list[int]] = {}
         for i in forest.members:
@@ -173,40 +173,32 @@ class ExchangeGraph:
         self.reached = frozenset(parent)
         return None
 
-    def augment(self) -> Forest | None:
-        """The forest one edge larger, or None when this one is maximum.
 
-        The larger forest is the symmetric difference of the members with
-        a shortest augmenting path. It is re-validated before it is handed
-        back: a cycle, a size other than one more, or a color over budget
-        is an :class:`InternalSolverError`.
-        """
-        path = self.shortest_augmenting_path()
-        if path is None:
-            return None
-        forest = self.forest
-        new_members = self._member_set.symmetric_difference(path)
-        try:
-            bigger = Forest(forest.host, tuple(sorted(new_members)))
-        except PreconditionError as exc:
-            raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
-        counts = bigger.color_counts()
-        if bigger.size != forest.size + 1 or any(
-            count > self.caps.cap(color) for color, count in counts.items()
-        ):
-            raise InternalSolverError("augmentation produced an invalid forest")
-        return bigger
+def augment_step(search: ExchangeGraph) -> ExchangeGraph | None:
+    """One augmentation: the search on a forest one edge larger, or None.
 
-
-def augment_step(
-    g: ColoredGraph, caps: CapacityMap, forest: Forest
-) -> Forest | None:
-    """One augmentation: a forest one edge larger, or None at maximum size.
-
-    The input forest must live on ``g`` and respect ``caps``; the step is
-    :meth:`ExchangeGraph.augment`.
+    Runs ``search``; when it finds no augmenting path the forest is maximum,
+    ``search.reached`` holds what it reached, and the step returns None.
+    Otherwise the larger forest is the symmetric difference of the members
+    with the path. It is re-validated before the next search is built on
+    it: a size other than one more, a cycle, or a color over budget is an
+    :class:`InternalSolverError`.
     """
-    return ExchangeGraph(g, caps, forest).augment()
+    path = search.shortest_augmenting_path()
+    if path is None:
+        return None
+    forest = search.forest
+    members = search._member_set.symmetric_difference(path)
+    if len(members) != forest.size + 1:
+        raise InternalSolverError("augmentation produced an invalid forest")
+    try:
+        bigger = Forest(forest.host, tuple(sorted(members)))
+    except PreconditionError as exc:
+        raise InternalSolverError(f"augmentation broke acyclicity: {exc}") from exc
+    try:
+        return ExchangeGraph(search.caps, bigger)
+    except PreconditionError as exc:
+        raise InternalSolverError("augmentation produced an invalid forest") from exc
 
 
 def _greedy_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
@@ -238,9 +230,9 @@ def _final_search(g: ColoredGraph, caps: CapacityMap) -> ExchangeGraph:
     Starts from the greedy forest of :func:`_greedy_forest` and augments to
     a fixpoint; the returned search holds that forest and what it reached.
     """
-    search = ExchangeGraph(g, caps, _greedy_forest(g, caps))
-    while (bigger := search.augment()) is not None:
-        search = ExchangeGraph(g, caps, bigger)
+    search = ExchangeGraph(caps, _greedy_forest(g, caps))
+    while (bigger := augment_step(search)) is not None:
+        search = bigger
     return search
 
 

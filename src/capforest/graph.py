@@ -299,10 +299,6 @@ class Forest(Record):
     def color_counts(self) -> dict[str, int]:
         return dict(Counter(self.host.edges[i].color for i in self.members))
 
-    def require_host(self, g: ColoredGraph) -> None:
-        if self.host is not g and self.host != g:
-            raise PreconditionError("forest belongs to a different host graph")
-
 
 def component_count(g: ColoredGraph) -> int:
     """Number of connected components, by union-find over the edge list."""

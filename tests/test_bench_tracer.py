@@ -57,3 +57,22 @@ def test_traced_impossible_solve_records_the_certificate(tmp_path):
     spans = json.loads((tmp_path / "trace.json").read_text())
     assert spans["calls"]["certificates.extract"] == 1
     assert spans["calls"]["certificates.evaluate"] == 1
+
+
+def test_traced_found_solve_times_every_augmentation_step(tmp_path):
+    # the greedy pass keeps edges 0 and 1, so one augmenting path is needed
+    (tmp_path / "inst.txt").write_text(
+        "graph 5\nf c0 2\nf c1 2\ne 0 3 c1\ne 0 4 c1\ne 1 3 c1\ne 3 4 c0\n"
+    )
+    command = ["solve", "inst.txt", "-m", "2", "--json"]
+    plain = run(["-m", "capforest", *command], tmp_path)
+    traced = run([str(TRACER), "trace.json", *command], tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    spans = json.loads((tmp_path / "trace.json").read_text())
+    assert spans["counts"]["engine.augmentations"] == 1
+    # each exchange graph is searched by exactly one step
+    steps = spans["calls"].get("engine.augment", 0)
+    assert steps >= 1
+    assert steps == spans["calls"]["engine.exchange_build"]

@@ -41,7 +41,7 @@ def square_aabb():
 
 def final_search(g, caps):
     """The failed search on a maximum forest, as ``solve`` hands it over."""
-    search = ExchangeGraph(g, caps, maximize_forest(g, caps))
+    search = ExchangeGraph(caps, maximize_forest(g, caps))
     assert search.shortest_augmenting_path() is None
     return search
 
@@ -79,7 +79,7 @@ class TestExtractCertificate:
     def test_rejects_non_maximum_forest(self):
         g = square_aabb()
         caps = CapacityMap({"a": 1, "b": 1})
-        search = ExchangeGraph(g, caps, Forest(g))
+        search = ExchangeGraph(caps, Forest(g))
         assert search.shortest_augmenting_path() is not None
         with pytest.raises(PreconditionError):
             extract_certificate(search, 1)
@@ -87,7 +87,7 @@ class TestExtractCertificate:
     def test_rejects_search_that_never_ran(self):
         g = path_aa()
         caps = CapacityMap({"a": 1})
-        search = ExchangeGraph(g, caps, maximize_forest(g, caps))
+        search = ExchangeGraph(caps, maximize_forest(g, caps))
         with pytest.raises(PreconditionError):
             extract_certificate(search, 1)
 

@@ -63,10 +63,10 @@ def seeded_instances():
 
 def cold_start(g, caps):
     """Reference maximiser: augment from the empty forest to a fixpoint."""
-    forest = Forest(g)
-    while (bigger := augment_step(g, caps, forest)) is not None:
-        forest = bigger
-    return forest
+    search = ExchangeGraph(caps, Forest(g))
+    while (bigger := augment_step(search)) is not None:
+        search = bigger
+    return search.forest
 
 
 def forest_path_arcs(g, forest):
@@ -108,29 +108,26 @@ def forest_path_arcs(g, forest):
 class TestAugmentStep:
     def test_empty_forest_takes_first_addable_edge(self):
         g = path_ab()
-        out = augment_step(g, CapacityMap.uniform(1), Forest(g))
-        assert out is not None and out.members == (0,)
+        out = augment_step(ExchangeGraph(CapacityMap.uniform(1), Forest(g)))
+        assert out is not None and out.forest.members == (0,)
 
     def test_saturated_color_blocks_growth(self):
         g = path_aa()
-        out = augment_step(g, CapacityMap({"a": 1}), Forest(g, (0,)))
-        assert out is None
+        search = ExchangeGraph(CapacityMap({"a": 1}), Forest(g, (0,)))
+        assert augment_step(search) is None
+        assert search.reached is not None
 
     def test_exchange_through_saturated_color(self):
         g = square_aabb()
         caps = CapacityMap({"a": 1, "b": 2})
-        out = augment_step(g, caps, Forest(g, (0, 2)))
-        assert out is not None and out.size == 3
+        out = augment_step(ExchangeGraph(caps, Forest(g, (0, 2))))
+        assert out is not None and out.forest.size == 3
         assert helpers.brute_force_max_forest_size(g, caps) == 3
 
     def test_over_capacity_forest_rejected(self):
         g = path_aa()
         with pytest.raises(PreconditionError):
-            augment_step(g, CapacityMap({"a": 1}), Forest(g, (0, 1)))
-
-    def test_foreign_forest_rejected(self):
-        with pytest.raises(PreconditionError):
-            augment_step(path_ab(), CapacityMap.uniform(1), Forest(triangle()))
+            ExchangeGraph(CapacityMap({"a": 1}), Forest(g, (0, 1)))
 
 
 class TestStepSelfChecks:
@@ -223,19 +220,19 @@ class TestWarmStart:
 
 
 class TestExchangeArcs:
-    def check(self, key, g, caps, forest):
-        graph = ExchangeGraph(g, caps, forest)
+    def check(self, key, graph):
         # the search scans its first layer in this order, without sorting
         assert graph.sources == sorted(graph.sources), key
-        for m, expected in forest_path_arcs(g, forest).items():
+        forest = graph.forest
+        for m, expected in forest_path_arcs(forest.host, forest).items():
             assert sorted(graph._neighbors(m)) == expected, (key, m)
 
     def test_arcs_match_union_find_oracle_along_augmentation(self):
         for key, g, caps in seeded_instances():
-            forest = Forest(g)
-            while forest is not None:
-                self.check(key, g, caps, forest)
-                forest = augment_step(g, caps, forest)
+            search = ExchangeGraph(caps, Forest(g))
+            while search is not None:
+                self.check(key, search)
+                search = augment_step(search)
 
     def test_arcs_on_random_spanning_forests(self):
         # forests that no augmentation run visits, with budgets that never bind
@@ -252,7 +249,7 @@ class TestExchangeArcs:
                 except PreconditionError:
                     continue
                 kept.append(i)
-            self.check(f"spanning:{seed}", g, caps, forest)
+            self.check(f"spanning:{seed}", ExchangeGraph(caps, forest))
 
 
 class TestPrune:

@@ -75,6 +75,11 @@ class TestModels:
         with pytest.raises(PreconditionError):
             generate(GenSpec(seed=0, n=3, model="ring", palette_size=1))
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(PreconditionError) as info:
+            generate(GenSpec(seed=0, n=-1))
+        assert str(info.value) == "vertex count must be non-negative"
+
 
 class TestFactorized:
     def test_k4_structure(self):

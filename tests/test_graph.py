@@ -232,6 +232,11 @@ class TestForest:
             f"forest members must be integer edge indices, got {bad!r}"
         )
 
+    def test_index_out_of_range_rejected(self):
+        with pytest.raises(PreconditionError) as info:
+            Forest(triangle(), (5,))
+        assert str(info.value) == "edge index 5 out of range"
+
     def test_empty_forest_isolates_all_vertices(self):
         forest = Forest(triangle())
         assert forest.num_components == 3
@@ -248,11 +253,6 @@ class TestForest:
         monkeypatch.setattr(graph, "DisjointSet", NoMerge)
         with pytest.raises(InternalSolverError):
             Forest(triangle(), (0,))
-
-    def test_host_mismatch_detected(self):
-        forest = Forest(triangle())
-        with pytest.raises(PreconditionError):
-            forest.require_host(square_aabb())
 
 
 @given(colored_graphs())

@@ -117,6 +117,8 @@ class TestParseInstance:
             ("graph 3\ne 0 1 a b\n", "f.txt:2: expected 'e <u> <v> <color>'"),
             ("# c\ne 0 1 a\ngraph 3\n", "f.txt:2: edge before 'graph' header"),
             ("e 0 1\ngraph 3\n", "f.txt:1: edge before 'graph' header"),
+            ("graph 3 4\n", "f.txt:1: expected 'graph <n>'"),
+            ("# c\ngraph -1\n", "f.txt:2: vertex count must be non-negative"),
         ],
     )
     def test_bad_edge_line_messages(self, text, message):

@@ -122,3 +122,19 @@ class TestFailuresCrossTheFork:
         captured = capfd.readouterr()
         assert captured.out == ""
         assert captured.err == "internal error: rigged failure at agreement 7\n"
+
+
+def test_density_instance_that_fails_its_check_is_an_internal_error(monkeypatch):
+    # the density law builds every instance to pass the check; one that
+    # does not is a bug in the sweep, never a law failure
+    real = sweeps.density_sufficient
+    monkeypatch.setattr(
+        sweeps,
+        "density_sufficient",
+        lambda *args: real(*args)._replace(guaranteed=False),
+    )
+    with pytest.raises(InternalSolverError) as info:
+        sweeps.run_density_guarantee(3, 2)
+    assert str(info.value) == (
+        "sweep instance 2:density:0 was built to pass the density check"
+    )
