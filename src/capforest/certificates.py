@@ -8,10 +8,12 @@ final exchange-graph search, the one that finds no augmenting path, and
 re-verifies it by deleting the colors and counting components. The
 oracle functions answer the same question by brute force and exist to
 cross-check the solver on small instances; they must stay independent of
-the augmenting-path machinery. Two of them answer it for one target
-component count; the other two compute, once per instance, the two sides
-of Edmonds' min-max equality, from which the verdict at every target
-follows. Both forest oracles run one branch and bound.
+the augmenting-path machinery. :func:`oracle_condition` answers it for one
+target component count. The other two compute, once per instance, the two
+sides of Edmonds' min-max equality, from which the verdict at every target
+follows: :func:`oracle_fewest_components` from the color sets, and
+:func:`oracle_forest_search` as a largest forest. Both color-set oracles
+read one enumeration of the color subsets.
 """
 
 from __future__ import annotations
@@ -43,6 +45,15 @@ def _components_without(g: ColoredGraph, colors: set[str]) -> int:
     return dsu.components
 
 
+def _check_components(g: ColoredGraph, components: int) -> None:
+    if g.n == 0:
+        raise EmptyGraphError("component count is undefined on zero vertices")
+    if not 1 <= components <= g.n:
+        raise PreconditionError(
+            f"component count must be in 1..{g.n}, got {components}"
+        )
+
+
 def evaluate_condition(
     g: ColoredGraph, caps: CapacityMap, components: int, colors: Iterable[str]
 ) -> tuple[int, int]:
@@ -53,12 +64,7 @@ def evaluate_condition(
     when ``remaining > budget``. ``components`` must lie in ``1..n``.
     """
     colors = set(colors)
-    if g.n == 0:
-        raise EmptyGraphError("component count is undefined on zero vertices")
-    if not 1 <= components <= g.n:
-        raise PreconditionError(
-            f"component count must be in 1..{g.n}, got {components}"
-        )
+    _check_components(g, components)
     return _components_without(g, colors), components + caps.total(colors)
 
 
@@ -126,33 +132,33 @@ def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
     return Certificate(violating, remaining, budget)
 
 
-def _lex_subsets(items: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    # lexicographic over sorted input: (), (a,), (a,b), (a,b,c), (a,c), (b,), ...
-    prefix: list[str] = []
+def _color_sets(
+    g: ColoredGraph, caps: CapacityMap, colors: Sequence[str]
+) -> Iterator[tuple[tuple[str, ...], int, int]]:
+    """Every subset ``R`` of ``colors``, with ``omega(G - E_R)`` and ``f(R)``.
 
-    def rec(start: int) -> Iterator[tuple[str, ...]]:
-        yield tuple(prefix)
-        for i in range(start, len(items)):
-            prefix.append(items[i])
-            yield from rec(i + 1)
-            prefix.pop()
-
-    yield from rec(0)
-
-
-def _check_oracle_palette(g: ColoredGraph) -> None:
+    Yields ``(R, components left after deleting R's edges, R's capacity
+    total)`` in lexicographic order over sorted ``colors``: ``()``,
+    ``(a,)``, ``(a, b)``, ``(a, b, c)``, ``(a, c)``, ``(b,)``, ... Palettes
+    beyond ``ORACLE_MAX_PALETTE`` colors are refused at the call, before
+    anything is yielded.
+    """
     if len(g.palette) > ORACLE_MAX_PALETTE:
         raise OracleLimitError(
             f"palette of {len(g.palette)} colors exceeds the oracle limit "
             f"of {ORACLE_MAX_PALETTE}"
         )
+    prefix: list[str] = []
 
+    def rec(start: int) -> Iterator[tuple[tuple[str, ...], int, int]]:
+        subset = tuple(prefix)
+        yield subset, _components_without(g, set(subset)), caps.total(subset)
+        for i in range(start, len(colors)):
+            prefix.append(colors[i])
+            yield from rec(i + 1)
+            prefix.pop()
 
-def _check_oracle_edges(g: ColoredGraph) -> None:
-    if len(g.edges) > ORACLE_MAX_EDGES:
-        raise OracleLimitError(
-            f"{len(g.edges)} edges exceed the search limit of {ORACLE_MAX_EDGES}"
-        )
+    return rec(0)
 
 
 def oracle_condition(
@@ -163,13 +169,13 @@ def oracle_condition(
     Returns the first violating subset in lexicographic order over the
     sorted palette (not necessarily a minimal one), or None when the
     inequality holds everywhere. Palettes beyond ``ORACLE_MAX_PALETTE``
-    colors are refused.
+    colors are refused before the component count is checked.
     """
-    _check_oracle_palette(g)
-    for subset in _lex_subsets(sorted(g.palette)):
-        remaining, budget = evaluate_condition(g, caps, components, subset)
-        if remaining > budget:
-            return Certificate(frozenset(subset), remaining, budget)
+    color_sets = _color_sets(g, caps, sorted(g.palette))  # palette limit first
+    _check_components(g, components)
+    for subset, remaining, spent in color_sets:
+        if remaining > components + spent:
+            return Certificate(subset, remaining, components + spent)
     return None
 
 
@@ -184,11 +190,8 @@ def oracle_fewest_components(g: ColoredGraph, caps: CapacityMap) -> int:
     ``R``: another color deletes nothing and costs its capacity. Palettes
     beyond ``ORACLE_MAX_PALETTE`` colors are refused.
     """
-    _check_oracle_palette(g)
-    return max(
-        _components_without(g, set(subset)) - caps.total(subset)
-        for subset in _lex_subsets(sorted({e.color for e in g.edges}))
-    )
+    colors = sorted({e.color for e in g.edges})
+    return max(left - spent for _, left, spent in _color_sets(g, caps, colors))
 
 
 class _RewindableDisjointSet:
@@ -222,20 +225,23 @@ class _RewindableDisjointSet:
         self.size[ra] -= self.size[rb]
 
 
-def _forest_search(
-    g: ColoredGraph, caps: CapacityMap, target: int
-) -> tuple[int, ...]:
-    """Branch and bound over capacity-respecting forests, by edge index.
+def oracle_forest_search(g: ColoredGraph, caps: CapacityMap) -> Forest:
+    """First largest capacity-respecting forest, by branch and bound.
 
     Extends forests over the edges in increasing index order, stops at the
-    first forest of ``target`` edges, and abandons a branch once the edges
-    left cannot beat the largest forest found so far. Until the target is
-    reached that forest is smaller than it, so no abandoned branch holds a
-    forest of ``target`` edges. Returns the members of the first such
-    forest in index order, or of the first largest forest when none exists.
+    first spanning tree (``n - 1`` edges), and abandons a branch once the
+    edges left cannot beat the largest forest found so far. Returns the
+    first largest forest in index order; a forest with ``m`` components
+    exists exactly when ``n - size <= m``. Independent of the solver.
+    Graphs beyond ``ORACLE_MAX_EDGES`` edges are refused.
     """
     edges = g.edges
     total = len(edges)
+    if total > ORACLE_MAX_EDGES:
+        raise OracleLimitError(
+            f"{total} edges exceed the search limit of {ORACLE_MAX_EDGES}"
+        )
+    target = g.n - 1
     counts: dict[str, int] = {}
     chosen: list[int] = []
     dsu = _RewindableDisjointSet(g.n)
@@ -261,33 +267,4 @@ def _forest_search(
             dsu.rewind()
 
     extend(0)
-    return best
-
-
-def oracle_forest_search(
-    g: ColoredGraph, caps: CapacityMap, components: int
-) -> Forest | None:
-    """Backtracking search for a qualifying forest, independent of the solver.
-
-    Returns the first acyclic, capacity-respecting edge subset of size
-    ``n - components`` in increasing index order as a :class:`Forest`, or
-    None when none exists. Graphs beyond ``ORACLE_MAX_EDGES`` edges are
-    refused.
-    """
-    _check_oracle_edges(g)
-    need = g.n - components
-    if need < 0 or need > len(g.edges):
-        return None
-    members = _forest_search(g, caps, need)
-    return Forest(g, members) if len(members) == need else None
-
-
-def oracle_largest_forest(g: ColoredGraph, caps: CapacityMap) -> int:
-    """Edge count of a largest capacity-respecting forest, by branch and bound.
-
-    The search stops early at a spanning tree's ``n - 1`` edges. A forest
-    with ``m`` components exists exactly when ``n - result <= m``. Graphs
-    beyond ``ORACLE_MAX_EDGES`` edges are refused.
-    """
-    _check_oracle_edges(g)
-    return len(_forest_search(g, caps, g.n - 1))
+    return Forest(g, best)

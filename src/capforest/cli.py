@@ -140,7 +140,7 @@ def cmd_oracle(args) -> int:
     g, m = instance.graph, args.components
     verdict = solve(g, caps, m)
     cert = oracle_condition(g, caps, m)
-    forest = oracle_forest_search(g, caps, m)
+    forest_found = g.n - oracle_forest_search(g, caps).size <= m
 
     solver_found = isinstance(verdict, Found)
     print(f"solver: {'exists' if solver_found else 'impossible'}")
@@ -148,8 +148,8 @@ def cmd_oracle(args) -> int:
         print("condition oracle: no violating color set")
     else:
         print(f"condition oracle: violating colors {' '.join(cert.sorted_colors()) or '(none)'}")
-    print(f"search oracle: {'forest found' if forest is not None else 'no forest'}")
-    if solver_found == (cert is None) == (forest is not None):
+    print(f"search oracle: {'forest found' if forest_found else 'no forest'}")
+    if solver_found == (cert is None) == forest_found:
         print(f"AGREE exists={str(solver_found).lower()}")
         return EXIT_FOUND
     print("DISAGREE")

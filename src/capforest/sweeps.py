@@ -3,8 +3,10 @@
 Three laws are checked, each on its own stream of seeded instances:
 
 * oracle agreement: at every target component count, the solver must
-  reach the verdict that the exhaustive color-set oracle's fewest
-  components and the branch-and-bound search's largest forest both give;
+  reach the verdict that two exhaustive oracles give, each computed once
+  per instance: the fewest components over color sets
+  (``oracle_fewest_components``) and ``n`` minus the size of the largest
+  forest (``oracle_forest_search``);
 * density guarantee: whenever the density report says a forest is
   guaranteed, the solver must find one;
 * bounded complete: complete graphs on n vertices whose colors each appear
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import complete_graph_threshold, density_sufficient
-from .certificates import oracle_fewest_components, oracle_largest_forest
+from .certificates import oracle_fewest_components, oracle_forest_search
 from .engine import Found, solve
 from .errors import InternalSolverError, PreconditionError
 from .generators import MAX_VERTICES, GenSpec, generate
@@ -87,7 +89,7 @@ def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
         rng, key = _instance_rng(seed, "agreement", index)
         g, caps = sample_solver_instance(rng, max_n=max_n)
         fewest = oracle_fewest_components(g, caps)
-        smallest = g.n - oracle_largest_forest(g, caps)
+        smallest = g.n - oracle_forest_search(g, caps).size
         if not all(
             isinstance(solve(g, caps, m), Found) == (fewest <= m) == (smallest <= m)
             for m in range(1, g.n + 1)

@@ -76,3 +76,15 @@ def test_traced_found_solve_times_every_augmentation_step(tmp_path):
     steps = spans["calls"].get("engine.augment", 0)
     assert steps >= 1
     assert steps == spans["calls"]["engine.exchange_build"]
+
+
+def test_traced_sweep_times_its_forest_oracle(tmp_path):
+    # the oracle-agreement law searches one largest forest per instance
+    command = ["sweep", "--count", "7"]
+    plain = run(["-m", "capforest", *command], tmp_path)
+    traced = run([str(TRACER), "trace.json", *command], tmp_path)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == plain.returncode, traced.stderr
+    assert traced.stdout == plain.stdout
+    spans = json.loads((tmp_path / "trace.json").read_text())
+    assert spans["calls"]["certificates.oracle_search"] == 7

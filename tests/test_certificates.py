@@ -22,7 +22,7 @@ from capforest import (
     solve,
     sweeps,
 )
-from capforest.certificates import oracle_fewest_components, oracle_largest_forest
+from capforest.certificates import oracle_fewest_components
 from capforest.engine import ExchangeGraph
 from capforest.sweeps import sample_solver_instance
 
@@ -184,28 +184,40 @@ class TestOracleCondition:
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset(f"x{i}" for i in range(20)))
         with pytest.raises(OracleLimitError):
             oracle_condition(g, CapacityMap.uniform(1), 1)
+        # palette limit, then the empty graph, then the component range
+        wide = frozenset(f"x{i:02}" for i in range(17))
+        g = ColoredGraph(2, [(0, 1, "x00")], palette=wide)
+        with pytest.raises(OracleLimitError):
+            oracle_condition(g, CapacityMap.uniform(1), 0)
+        with pytest.raises(OracleLimitError):
+            oracle_condition(ColoredGraph(0, palette=wide), CapacityMap.uniform(1), 1)
+        with pytest.raises(EmptyGraphError):
+            oracle_condition(ColoredGraph(0), CapacityMap.uniform(1), 1)
+        with pytest.raises(PreconditionError, match="must be in 1..2, got 3"):
+            oracle_condition(ColoredGraph(2), CapacityMap.uniform(1), 3)
 
 
 class TestOracleForestSearch:
     def test_triangle_finds_tree(self):
-        forest = oracle_forest_search(triangle(), CapacityMap.uniform(1), 1)
-        assert forest is not None and forest.size == 2
+        forest = oracle_forest_search(triangle(), CapacityMap.uniform(1))
+        assert forest.size == 2
 
     def test_one_color_path_finds_nothing(self):
-        assert oracle_forest_search(path_aa(), CapacityMap({"a": 1}), 1) is None
+        # one edge of budget "a" leaves two components, so m = 1 is out of reach
+        forest = oracle_forest_search(path_aa(), CapacityMap({"a": 1}))
+        assert forest.members == (0,) and forest.num_components == 2
 
     def test_square_uneven_budgets(self):
         g = square_aabb()
-        forest = oracle_forest_search(g, CapacityMap({"a": 1, "b": 2}), 1)
-        assert forest is not None
-        # first qualifying tree in index order: edges 0, 2, 3 (one a, two b)
+        forest = oracle_forest_search(g, CapacityMap({"a": 1, "b": 2}))
+        # first spanning tree in index order: edges 0, 2, 3 (one a, two b)
         assert forest.members == (0, 2, 3)
         assert forest.color_counts() == {"a": 1, "b": 2}
 
     def test_edge_limit(self):
         g = ColoredGraph(8, [(u, v, "a") for u in range(8) for v in range(u + 1, 8)])
         with pytest.raises(OracleLimitError):
-            oracle_forest_search(g, CapacityMap.uniform(9), 1)
+            oracle_forest_search(g, CapacityMap.uniform(9))
 
 
 class TestOncePerInstanceOracles:
@@ -217,35 +229,40 @@ class TestOncePerInstanceOracles:
 
     def test_the_two_sides_of_the_min_max_equality_meet(self):
         for key, g, caps in self.instances(300):
-            largest = oracle_largest_forest(g, caps)
+            largest = oracle_forest_search(g, caps).size
             assert oracle_fewest_components(g, caps) == g.n - largest, key
             assert largest == helpers.brute_force_max_forest_size(g, caps), key
 
     def test_each_number_gives_the_per_m_verdict(self):
         for key, g, caps in self.instances(150):
             fewest = oracle_fewest_components(g, caps)
-            largest = oracle_largest_forest(g, caps)
+            forest = oracle_forest_search(g, caps)
+            assert helpers.within_capacities(
+                [e for _, e in forest.member_edges()], caps
+            ), key
             for m in range(1, g.n + 1):
                 holds = oracle_condition(g, caps, m) is None
                 assert holds == (fewest <= m), f"{key} m={m}"
-                found = oracle_forest_search(g, caps, m) is not None
-                assert found == (g.n - largest <= m), f"{key} m={m}"
+                found = g.n - forest.size <= m
+                assert found == helpers.brute_force_condition_holds(g, caps, m), (
+                    f"{key} m={m}"
+                )
 
     def test_single_vertex(self):
         g = ColoredGraph(1, palette=frozenset({"a"}))
         assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
-        assert oracle_largest_forest(g, CapacityMap.uniform(1)) == 0
+        assert oracle_forest_search(g, CapacityMap.uniform(1)).size == 0
 
     def test_no_edges(self):
         g = ColoredGraph(4)
         assert oracle_fewest_components(g, CapacityMap()) == 4
-        assert oracle_largest_forest(g, CapacityMap()) == 0
+        assert oracle_forest_search(g, CapacityMap()).size == 0
 
     def test_all_capacities_zero(self):
         g = square_aabb()
         caps = CapacityMap({"a": 0, "b": 0})
         assert oracle_fewest_components(g, caps) == 4
-        assert oracle_largest_forest(g, caps) == 0
+        assert oracle_forest_search(g, caps).size == 0
 
     def test_palette_limit(self):
         at_limit = frozenset(f"x{i:02}" for i in range(16))
@@ -258,23 +275,25 @@ class TestOncePerInstanceOracles:
     def test_edge_limit(self):
         pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
         g = ColoredGraph(7, [(u, v, "a") for u, v in pairs[:20]])
-        assert oracle_largest_forest(g, CapacityMap.uniform(9)) == 6
+        assert oracle_forest_search(g, CapacityMap.uniform(9)).size == 6
         g = ColoredGraph(7, [(u, v, "a") for u, v in pairs[:21]])
         with pytest.raises(OracleLimitError):
-            oracle_largest_forest(g, CapacityMap.uniform(9))
+            oracle_forest_search(g, CapacityMap.uniform(9))
 
     def test_an_off_by_one_oracle_fails_the_agreement_law(self, monkeypatch):
         # one edge short wherever a forest has edges; seed 11 draws instances
         # 0..3 with none, so the first failure is not the first instance
-        real = sweeps.oracle_largest_forest
+        real = sweeps.oracle_forest_search
         failing = []
         for index in range(40):
             rng, key = sweeps._instance_rng(11, "agreement", index)
-            if real(*sample_solver_instance(rng)):
+            if real(*sample_solver_instance(rng)).size:
                 failing.append(key)
         assert failing[0] == "11:agreement:4"
         monkeypatch.setattr(
-            sweeps, "oracle_largest_forest", lambda g, caps: max(real(g, caps) - 1, 0)
+            sweeps,
+            "oracle_forest_search",
+            lambda g, caps: Forest(g, real(g, caps).members[:-1]),
         )
         report = sweeps.run_oracle_agreement(40, 11)
         assert (report.passed, report.failed) == (40 - len(failing), len(failing))
@@ -308,19 +327,22 @@ class TestEvaluateCondition:
 
 class TestAgreementSweep:
     @staticmethod
-    def oracle_agreement_holds(g, caps, components):
-        """Solver vs. both per-m exhaustive oracles, one target component count."""
+    def oracle_agreement_holds(g, caps, forest, components):
+        """Solver vs. the per-m condition oracle and the instance's largest forest."""
         verdict = solve(g, caps, components)
         cert = oracle_condition(g, caps, components)
-        forest = oracle_forest_search(g, caps, components)
-        return isinstance(verdict, Found) == (cert is None) == (forest is not None)
+        found = g.n - forest.size <= components
+        return isinstance(verdict, Found) == (cert is None) == found
 
     def test_three_routes_agree_on_random_instances(self):
         for index in range(120):
             rng = random.Random(f"agree:{index}")
             g, caps = sample_solver_instance(rng)
+            forest = oracle_forest_search(g, caps)
             for m in range(1, g.n + 1):
-                assert self.oracle_agreement_holds(g, caps, m), f"agree:{index} m={m}"
+                assert self.oracle_agreement_holds(g, caps, forest, m), (
+                    f"agree:{index} m={m}"
+                )
 
     def test_every_certificate_reverified_independently(self):
         seen = 0

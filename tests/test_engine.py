@@ -142,13 +142,18 @@ class TestStepSelfChecks:
              "augmentation produced an invalid forest"),
             (path_aa, CapacityMap({"a": 1}), [0],
              "augmentation produced an invalid forest"),
+            # swaps member 1 for outside edge 2: a valid forest that did not grow
+            (triangle, CapacityMap.uniform(1), [1, 2],
+             "augmentation produced an invalid forest"),
         ],
     )
     def test_bad_path_is_an_internal_error(
         self, monkeypatch, make_graph, caps, bad_path, message
     ):
+        # the bad path once, then no path: only the step's checks can object
+        paths = iter([list(bad_path)])
         monkeypatch.setattr(
-            ExchangeGraph, "shortest_augmenting_path", lambda self: list(bad_path)
+            ExchangeGraph, "shortest_augmenting_path", lambda self: next(paths, None)
         )
         with pytest.raises(InternalSolverError) as info:
             solve(make_graph(), caps, 1)
