@@ -152,6 +152,9 @@ class ExchangeGraph:
         """
         edges, members, spare = self._edges, self._member_set, self._spare
         parent: dict[int, int | None] = {s: None for s in self.sources}
+        # the outside edges of one full color all reach that color's members,
+        # so the first of them to be expanded claims all that they can reach
+        expanded: set[str] = set()
         # the edge pass appended the sources in increasing index order
         layer = self.sources
         while layer:
@@ -165,6 +168,11 @@ class ExchangeGraph:
                     return path[::-1]
             nxt = []
             for node in layer:
+                if node not in members:
+                    color = edges[node].color
+                    if color in expanded:
+                        continue
+                    expanded.add(color)
                 for nb in self._neighbors(node):
                     if nb not in parent:
                         parent[nb] = node

@@ -8,7 +8,11 @@ class CapforestError(Exception):
 class GraphConstructionError(CapforestError):
     """Rejected graph: non-integer or negative vertex count, an edge that is
     not a triple, loop, duplicate vertex pair, non-integer or out-of-range
-    vertex id."""
+    vertex id. ``index`` is the position of the faulty edge, or None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyGraphError(CapforestError):

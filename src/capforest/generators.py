@@ -17,6 +17,9 @@ from .graph import ColoredGraph
 # Every model visits all n(n-1)/2 vertex pairs; 2000 vertices is about two
 # million pairs, which ``complete`` holds in memory at once.
 MAX_VERTICES = 2000
+# A palette holds one name per color, and a k-bounded pool one per slot;
+# past the most edges a graph can have, more only fills memory.
+MAX_COLOR_SLOTS = MAX_VERTICES * (MAX_VERTICES - 1) // 2
 
 
 class GenSpec(NamedTuple):
@@ -45,6 +48,11 @@ def _color_pool(spec: GenSpec, rng: random.Random, count: int):
     coloring = "uniform" if k is None else "k_bounded"
     if size is None or size < 1:
         raise PreconditionError(f"{coloring} coloring needs palette_size >= 1")
+    slots = size if k is None or k < 1 else size * k
+    if slots > MAX_COLOR_SLOTS:
+        raise PreconditionError(
+            f"{coloring} coloring needs at most {MAX_COLOR_SLOTS} color slots, got {slots}"
+        )
     palette = frozenset(f"c{j}" for j in range(size))
     if k is None:
         return [f"c{rng.randrange(size)}" for _ in range(count)], palette

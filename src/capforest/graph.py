@@ -142,49 +142,34 @@ class ColoredGraph(Record):
                 f"palette must be an iterable of colors: {exc}"
             ) from exc
         try:
-            edges = tuple(Edge(u, v, str(c)) for u, v, c in self.edges)
+            # tuple.__new__ runs no Python frame per edge, unlike Edge(...)
+            edges = tuple(
+                [tuple.__new__(Edge, (u, v, str(c))) for u, v, c in self.edges]
+            )
         except (TypeError, ValueError) as exc:
             raise GraphConstructionError(
                 f"edges must be (u, v, color) triples: {exc}"
             ) from exc
         seen: set[int] = set()  # pair {u, v} keyed as min * n + max
-        for u, v, _color in edges:
+        for i, (u, v, _color) in enumerate(edges):
             # one exact type test per id: rejects floats and bools alike
             if type(u) is not int or type(v) is not int:
                 raise GraphConstructionError(
-                    f"vertex ids must be integers, got ({u!r},{v!r})"
+                    f"vertex ids must be integers, got ({u!r},{v!r})", i
                 )
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphConstructionError(
-                    f"edge ({u},{v}) out of range for n={n}"
-                )
+                raise GraphConstructionError(f"vertex out of range 0..{n - 1}", i)
             if u == v:
-                raise GraphConstructionError(f"loop at vertex {u}")
+                raise GraphConstructionError(f"loop at vertex {u}", i)
             pair = u * n + v if u < v else v * n + u
             if pair in seen:
-                raise GraphConstructionError(f"duplicate edge {{{u},{v}}}")
+                raise GraphConstructionError(f"duplicate edge {{{u},{v}}}", i)
             seen.add(pair)
-        _store_graph(self, n, edges, declared)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "palette", declared | {e.color for e in edges})
 
     def sorted_palette(self) -> list[str]:
         return sorted(self.palette)
-
-
-def _store_graph(
-    g: ColoredGraph, n: int, edges: tuple[Edge, ...], declared: frozenset[str]
-) -> ColoredGraph:
-    """Set the fields of ``g`` from input that has passed every check.
-
-    ``edges`` must be ``Edge`` triples with ``str`` colors, in range, loop-
-    and duplicate-free on ``n`` vertices; the palette is ``declared`` plus
-    the edge colors. ``ColoredGraph`` calls this after validating, and the
-    instance parser, which checks each edge as it reads it, calls it on a
-    bare ``ColoredGraph.__new__`` instead of validating twice.
-    """
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "palette", declared | {e.color for e in edges})
-    return g
 
 
 class CapacityMap(Record):

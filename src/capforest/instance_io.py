@@ -18,10 +18,8 @@ the sidecar wins; duplicate assignments within a single file are rejected.
 
 from __future__ import annotations
 
-from itertools import repeat
-
-from .errors import InstanceParseError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, Edge, Forest, Record, _store_graph
+from .errors import GraphConstructionError, InstanceParseError, PreconditionError
+from .graph import CapacityMap, ColoredGraph, Forest, Record
 
 # The solver allocates several lists of size n per search even on an
 # edgeless graph: solving one with 10**6 vertices peaks near 0.2 GB.
@@ -101,76 +99,76 @@ def _lines(text: str) -> list[str]:
 
 
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
-    """Parse instance text; errors carry ``source:line``."""
+    """Parse instance text; an error names the first faulty line as ``source:line``."""
     n: int | None = None
     edges: list[tuple[int, int, str]] = []
-    pairs: set[int] = set()  # pair {u, v} keyed as min * n + max
+    edge_lines: list[int] = []
     caps: dict[str, int] = {}
     default: int | None = None
 
-    for lineno, raw in enumerate(_lines(text), start=1):
-        fields = raw.split()
-        if "#" in raw:
-            fields = _strip_comment(fields)
-        if not fields:
-            continue
-        word = fields[0]
-        if word == "e":
-            # the bulk of every file: error messages are built only on failure
-            if n is None:
-                raise InstanceParseError(
-                    f"{source}:{lineno}: edge before 'graph' header"
-                )
-            if len(fields) != 4:
-                raise InstanceParseError(
-                    f"{source}:{lineno}: expected 'e <u> <v> <color>'"
-                )
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                where = f"{source}:{lineno}"
-                u = _int_field(fields[1], "vertex id", where)
-                v = _int_field(fields[2], "vertex id", where)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InstanceParseError(
-                    f"{source}:{lineno}: vertex out of range 0..{n - 1}"
-                )
-            if u == v:
-                raise InstanceParseError(f"{source}:{lineno}: loop at vertex {u}")
-            pair = u * n + v if u < v else v * n + u
-            if pair in pairs:
-                raise InstanceParseError(
-                    f"{source}:{lineno}: duplicate edge {{{u},{v}}}"
-                )
-            pairs.add(pair)
-            edges.append((u, v, fields[3]))
-            continue
-        where = f"{source}:{lineno}"
-        args = fields[1:]
-        if word == "graph":
-            if n is not None:
-                raise InstanceParseError(f"{where}: duplicate 'graph' header")
-            if len(args) != 1:
-                raise InstanceParseError(f"{where}: expected 'graph <n>'")
-            n = _int_field(args[0], "vertex count", where)
-            if n < 0:
-                raise InstanceParseError(f"{where}: vertex count must be non-negative")
-            if n > MAX_VERTICES:
-                raise InstanceParseError(
-                    f"{where}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
-                )
-        elif word in ("f", "fdefault"):
-            default = _capacity_directive(word, args, where, caps, default)
-        else:
-            raise InstanceParseError(f"{where}: unknown directive {word!r}")
+    try:
+        for lineno, raw in enumerate(_lines(text), start=1):
+            fields = raw.split()
+            if "#" in raw:
+                fields = _strip_comment(fields)
+            if not fields:
+                continue
+            word = fields[0]
+            if word == "e":
+                # the bulk of every file: error messages are built only on failure
+                if n is None:
+                    raise InstanceParseError(
+                        f"{source}:{lineno}: edge before 'graph' header"
+                    )
+                if len(fields) != 4:
+                    raise InstanceParseError(
+                        f"{source}:{lineno}: expected 'e <u> <v> <color>'"
+                    )
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError:
+                    where = f"{source}:{lineno}"
+                    u = _int_field(fields[1], "vertex id", where)
+                    v = _int_field(fields[2], "vertex id", where)
+                edges.append((u, v, fields[3]))
+                edge_lines.append(lineno)
+                continue
+            where = f"{source}:{lineno}"
+            args = fields[1:]
+            if word == "graph":
+                if n is not None:
+                    raise InstanceParseError(f"{where}: duplicate 'graph' header")
+                if len(args) != 1:
+                    raise InstanceParseError(f"{where}: expected 'graph <n>'")
+                n = _int_field(args[0], "vertex count", where)
+                if n < 0:
+                    raise InstanceParseError(
+                        f"{where}: vertex count must be non-negative"
+                    )
+                if n > MAX_VERTICES:
+                    raise InstanceParseError(
+                        f"{where}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                    )
+            elif word in ("f", "fdefault"):
+                default = _capacity_directive(word, args, where, caps, default)
+            else:
+                raise InstanceParseError(f"{where}: unknown directive {word!r}")
+    except InstanceParseError:
+        if edges:  # a faulty edge above the faulty line comes first
+            _edge_graph(n, edges, edge_lines, source)
+        raise
 
     if n is None:
         raise InstanceParseError(f"{source}: missing 'graph <n>' header")
-    # every edge passed the checks ColoredGraph would repeat; tuple.__new__
-    # is what Edge._make calls, without its per-edge Python frame
-    checked = tuple(map(tuple.__new__, repeat(Edge), edges))
-    graph = _store_graph(ColoredGraph.__new__(ColoredGraph), n, checked, frozenset())
-    return Instance(graph, caps, default)
+    return Instance(_edge_graph(n, edges, edge_lines, source), caps, default)
+
+
+def _edge_graph(n: int, edges: list, lines: list[int], source: str) -> ColoredGraph:
+    """``ColoredGraph(n, edges)``; edge ``i`` is at ``source:lines[i]``."""
+    try:
+        return ColoredGraph(n, edges)
+    except GraphConstructionError as exc:
+        raise InstanceParseError(f"{source}:{lines[exc.index]}: {exc}") from None
 
 
 def parse_capacity_file(

@@ -59,6 +59,16 @@ def test_traced_impossible_solve_records_the_certificate(tmp_path):
     assert spans["calls"]["certificates.evaluate"] == 1
 
 
+def test_traced_solve_validates_its_graph_once(tmp_path):
+    # the parser builds its graph with ColoredGraph, which validates it
+    (tmp_path / "inst.txt").write_text("graph 3\nfdefault 1\ne 0 1 a\ne 1 2 b\n")
+    command = ["solve", "inst.txt", "-m", "1", "--json"]
+    traced = run([str(TRACER), "trace.json", *command], tmp_path)
+    assert traced.returncode == 0, traced.stderr
+    spans = json.loads((tmp_path / "trace.json").read_text())
+    assert spans["calls"]["graph.colored_graph"] == 1
+
+
 def test_traced_found_solve_times_every_augmentation_step(tmp_path):
     # the greedy pass keeps edges 0 and 1, so one augmenting path is needed
     (tmp_path / "inst.txt").write_text(

@@ -432,6 +432,16 @@ class TestGenCommand:
             (["--colors", "0", "--k", "2"], "k_bounded coloring needs palette_size >= 1"),
             (["--k", "-1"], "k_bounded coloring needs k >= 0"),
             (["--k", "1"], "cannot place 3 edges on 1 colors with at most 1 edges each"),
+            # refused before a name is made for each color or slot
+            (
+                ["--colors", "99999999999999999999"],
+                "uniform coloring needs at most 1999000 color slots, "
+                "got 99999999999999999999",
+            ),
+            (
+                ["--colors", "2", "--k", "999501"],
+                "k_bounded coloring needs at most 1999000 color slots, got 1999002",
+            ),
         ],
     )
     def test_coloring_errors_follow_k(self, flags, message, capsys):

@@ -67,8 +67,8 @@ class TestConstruction:
             ([(0, 1, "a"), (1, 0, "b")], "duplicate edge {1,0}"),
             ([(0, 2, "a"), (0, 2, "a")], "duplicate edge {0,2}"),
             ([(1, 1, "a")], "loop at vertex 1"),
-            ([(0, 3, "a")], "edge (0,3) out of range for n=3"),
-            ([(-1, 0, "a")], "edge (-1,0) out of range for n=3"),
+            ([(0, 3, "a")], "vertex out of range 0..2"),
+            ([(-1, 0, "a")], "vertex out of range 0..2"),
             ([(0, 1.0, "a")], "vertex ids must be integers, got (0,1.0)"),
             ([(True, 2, "a")], "vertex ids must be integers, got (True,2)"),
         ],
@@ -77,6 +77,30 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(3, edges)
         assert str(info.value) == message
+        # the offending edge is the last one of each case
+        assert info.value.index == len(edges) - 1
+
+    @pytest.mark.parametrize(
+        "edges, index, message",
+        [
+            ([(0, 1, "a"), (1, 1, "b"), (0, 5, "c")], 1, "loop at vertex 1"),
+            ([(0, 1, "a"), (0, 5, "b"), (1, 1, "c")], 1, "vertex out of range 0..2"),
+            (
+                [(0, 1, "a"), (2, 1, "b"), (1, 2, "c"), (0, 9, "d")],
+                2,
+                "duplicate edge {1,2}",
+            ),
+            (
+                [(1, 0, "a"), (0, 2.0, "b"), (0, 1, "c")],
+                1,
+                "vertex ids must be integers, got (0,2.0)",
+            ),
+        ],
+    )
+    def test_the_first_faulty_edge_is_reported(self, edges, index, message):
+        with pytest.raises(GraphConstructionError) as info:
+            ColoredGraph(3, edges)
+        assert (info.value.index, str(info.value)) == (index, message)
 
     def test_every_pair_once_is_accepted(self):
         # the duplicate key min * n + max must not collide across pairs
@@ -85,14 +109,16 @@ class TestConstruction:
         assert len(ColoredGraph(n, pairs).edges) == n * (n - 1) // 2
 
     def test_rejects_negative_vertex_count(self):
-        with pytest.raises(GraphConstructionError):
+        with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(-1)
+        assert info.value.index is None
 
     @pytest.mark.parametrize("n", [2.0, True, "2", None])
     def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
         with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(n)
         assert str(info.value) == f"vertex count must be an integer, got {n!r}"
+        assert info.value.index is None
 
     @pytest.mark.parametrize(
         "edge, reason",
@@ -107,6 +133,7 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(2, [edge])
         assert str(info.value) == f"edges must be (u, v, color) triples: {reason}"
+        assert info.value.index is None
 
     def test_palette_is_union_of_declared_and_present(self):
         g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({"b"}))
@@ -117,6 +144,7 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(3, [(0, 1, "ab")], palette="xy")
         assert str(info.value) == "palette must not be a string: 'xy'"
+        assert info.value.index is None
 
     @pytest.mark.parametrize(
         "palette", [b"xy", bytearray(b"xy"), memoryview(b"xy")]
@@ -126,6 +154,7 @@ class TestConstruction:
         with pytest.raises(GraphConstructionError) as info:
             ColoredGraph(3, [(0, 1, "ab")], palette=palette)
         assert str(info.value) == f"palette must not be bytes: {palette!r}"
+        assert info.value.index is None
 
     @pytest.mark.parametrize(
         "palette, kind", [(None, "NoneType"), (5, "int")]
@@ -136,6 +165,7 @@ class TestConstruction:
         assert str(info.value) == (
             f"palette must be an iterable of colors: '{kind}' object is not iterable"
         )
+        assert info.value.index is None
 
     def test_a_palette_may_be_any_iterable_of_colors(self):
         g = ColoredGraph(2, [(0, 1, "a")], palette=iter(["b", "c"]))

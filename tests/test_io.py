@@ -126,6 +126,25 @@ class TestParseInstance:
             parse_instance(text, source="f.txt")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "later",
+        ["bogus 1", "f a -1", "graph 3", "e 0 1", "e x 1 a"],
+    )
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("e 0 5 a", "vertex out of range 0..2"),
+            ("e 1 1 a", "loop at vertex 1"),
+            ("e 1 0 a", "duplicate edge {1,0}"),
+        ],
+    )
+    def test_a_bad_edge_above_another_fault_is_reported(self, later, edge, message):
+        # the first faulty line in the file wins, whatever faults follow it
+        text = f"graph 3\ne 0 1 a\n{edge}\n{later}\n"
+        with pytest.raises(InstanceParseError) as info:
+            parse_instance(text, source="f.txt")
+        assert str(info.value) == f"f.txt:3: {message}"
+
     def test_every_pair_once_is_accepted(self):
         # the duplicate key min * n + max must not collide across pairs
         n = 7
@@ -211,7 +230,7 @@ def instance_files(draw):
 
 
 class TestParsedGraph:
-    """The parser stores the edges it checked without validating them again."""
+    """The parser builds its graph with ``ColoredGraph``, as a library caller does."""
 
     @given(instance_files())
     def test_equals_the_fully_validated_graph(self, case):
