@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PreconditionError
-from .graph import CapacityMap, ColoredGraph, color_census
+from .graph import CapacityMap, ColoredGraph, check_component_target, color_census
 
 
 class ColorDensity(NamedTuple):
@@ -45,17 +44,13 @@ def max_edges_for_components(n: int, s: int) -> int:
     The extremal graph is one clique on ``n - s + 1`` vertices plus
     ``s - 1`` isolated vertices.
     """
-    if not 1 <= s <= n:
-        raise PreconditionError(f"component count must be in 1..{n}, got {s}")
+    check_component_target(n, s)
     return math.comb(n - s + 1, 2)
 
 
 def complete_graph_threshold(n: int, components: int) -> Fraction:
     """Per-unit-capacity color bound for complete graphs: n(n-1)/(2(n-m))."""
-    if not 1 <= components <= n - 1:
-        raise PreconditionError(
-            f"component count must be in 1..{n - 1}, got {components}"
-        )
+    check_component_target(n, components, n - 1)
     return Fraction(n * (n - 1), 2 * (n - components))
 
 
@@ -72,10 +67,7 @@ def density_sufficient(
     has at most ``components`` components.
     """
     n = g.n
-    if not 1 <= components <= n - 1:
-        raise PreconditionError(
-            f"component count must be in 1..{n - 1}, got {components}"
-        )
+    check_component_target(n, components, n - 1)
     edge_count = len(g.edges)
     threshold = max_edges_for_components(n, components + 1)
     ratio = Fraction(edge_count, n - components)

@@ -21,13 +21,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
-from .errors import (
-    EmptyGraphError,
-    InternalSolverError,
-    OracleLimitError,
-    PreconditionError,
+from .errors import InternalSolverError, OracleLimitError, PreconditionError
+from .graph import (
+    CapacityMap,
+    ColoredGraph,
+    DisjointSet,
+    Forest,
+    Record,
+    check_component_target,
+    color_set,
 )
-from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest, Record
 
 if TYPE_CHECKING:
     from .engine import ExchangeGraph
@@ -45,15 +48,6 @@ def _components_without(g: ColoredGraph, colors: set[str]) -> int:
     return dsu.components
 
 
-def _check_components(g: ColoredGraph, components: int) -> None:
-    if g.n == 0:
-        raise EmptyGraphError("component count is undefined on zero vertices")
-    if not 1 <= components <= g.n:
-        raise PreconditionError(
-            f"component count must be in 1..{g.n}, got {components}"
-        )
-
-
 def evaluate_condition(
     g: ColoredGraph, caps: CapacityMap, components: int, colors: Iterable[str]
 ) -> tuple[int, int]:
@@ -63,8 +57,8 @@ def evaluate_condition(
     capacity total over ``colors``. The pair witnesses impossibility exactly
     when ``remaining > budget``. ``components`` must lie in ``1..n``.
     """
-    colors = set(colors)
-    _check_components(g, components)
+    colors = color_set(colors)
+    check_component_target(g.n, components)
     return _components_without(g, colors), components + caps.total(colors)
 
 
@@ -88,7 +82,7 @@ class Certificate(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "violating", frozenset(self.violating))
+        object.__setattr__(self, "violating", color_set(self.violating))
         if self.omega_measured <= self.bound:
             raise InternalSolverError(
                 f"certificate does not witness a violation: "
@@ -172,7 +166,7 @@ def oracle_condition(
     colors are refused before the component count is checked.
     """
     color_sets = _color_sets(g, caps, sorted(g.palette))  # palette limit first
-    _check_components(g, components)
+    check_component_target(g.n, components)
     for subset, remaining, spent in color_sets:
         if remaining > components + spent:
             return Certificate(subset, remaining, components + spent)

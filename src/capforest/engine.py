@@ -23,7 +23,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, DisjointSet, Forest, Record
+from .graph import (
+    CapacityMap,
+    ColoredGraph,
+    DisjointSet,
+    Forest,
+    Record,
+    check_component_target,
+)
 
 if TYPE_CHECKING:
     from .certificates import Certificate
@@ -263,11 +270,7 @@ def prune_to_components(forest: Forest, components: int) -> Forest:
     color count, so the pruned forest stays within every capacity; taking
     the highest indices first just fixes one deterministic choice.
     """
-    n = forest.host.n
-    if not 1 <= components <= n:
-        raise PreconditionError(
-            f"component target must be in 1..{n}, got {components}"
-        )
+    check_component_target(forest.host.n, components)
     excess = components - forest.num_components
     if excess < 0:
         raise PreconditionError(
@@ -286,10 +289,7 @@ def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> SolveVerdict:
     none. ``components`` must lie in ``1..n``. The violating color set is
     read off the final search, the one that finds no augmenting path.
     """
-    if not 1 <= components <= g.n:
-        raise PreconditionError(
-            f"component count must be in 1..{g.n}, got {components}"
-        )
+    check_component_target(g.n, components)
     search = _final_search(g, caps)
     if search.forest.size >= g.n - components:
         return Found(prune_to_components(search.forest, components))

@@ -6,17 +6,14 @@ class CapforestError(Exception):
 
 
 class GraphConstructionError(CapforestError):
-    """Rejected graph: non-integer or negative vertex count, an edge that is
-    not a triple, loop, duplicate vertex pair, non-integer or out-of-range
-    vertex id. ``index`` is the position of the faulty edge, or None."""
+    """Rejected graph: non-integer or negative vertex count, a palette that
+    is a string, bytes or not iterable, an edge that is not a triple, loop,
+    duplicate vertex pair, non-integer or out-of-range vertex id. ``index``
+    is the position of the faulty edge, or None."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class EmptyGraphError(CapforestError):
-    """The operation needs a graph with at least one vertex."""
 
 
 class MissingCapacityError(CapforestError):
@@ -29,6 +26,10 @@ class MissingCapacityError(CapforestError):
 
 class PreconditionError(CapforestError):
     """Arguments violate an operation's contract."""
+
+
+class EmptyGraphError(PreconditionError):
+    """A precondition error: the operation needs at least one vertex."""
 
 
 class OracleLimitError(PreconditionError):

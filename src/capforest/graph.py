@@ -97,6 +97,30 @@ class DisjointSet:
         return True
 
 
+def check_component_target(n: int, m: int, top: int | None = None) -> None:
+    """Refuse a target ``m`` that is not exactly an ``int`` in ``1..top`` (default
+    ``n``); on zero vertices every target is an :class:`EmptyGraphError`."""
+    if n == 0:
+        raise EmptyGraphError("component count is undefined on zero vertices")
+    top = n if top is None else top
+    if type(m) is not int or not 1 <= m <= top:
+        raise PreconditionError(f"component count must be in 1..{top}, got {m}")
+
+
+def color_set(
+    colors: Iterable[str], name: str = "color set", error: type = PreconditionError
+) -> frozenset[str]:
+    """``colors`` as a frozenset of strings, else an ``error`` naming ``name``."""
+    # else one color per character, or per byte value ("120" for b"x")
+    if isinstance(colors, (str, bytes, bytearray, memoryview)):
+        kind = "a string" if isinstance(colors, str) else "bytes"
+        raise error(f"{name} must not be {kind}: {colors!r}")
+    try:
+        return frozenset(map(str, colors))
+    except TypeError as exc:
+        raise error(f"{name} must be an iterable of colors: {exc}") from exc
+
+
 class ColoredGraph(Record):
     """Simple undirected graph with one color label per edge.
 
@@ -130,17 +154,7 @@ class ColoredGraph(Record):
             raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphConstructionError("vertex count must be non-negative")
-        palette = self.palette
-        # else one color per character, or per byte value ("120" for b"x")
-        if isinstance(palette, (str, bytes, bytearray, memoryview)):
-            kind = "a string" if isinstance(palette, str) else "bytes"
-            raise GraphConstructionError(f"palette must not be {kind}: {palette!r}")
-        try:
-            declared = frozenset(map(str, palette))
-        except TypeError as exc:
-            raise GraphConstructionError(
-                f"palette must be an iterable of colors: {exc}"
-            ) from exc
+        declared = color_set(self.palette, "palette", GraphConstructionError)
         try:
             # tuple.__new__ runs no Python frame per edge, unlike Edge(...)
             edges = tuple(
@@ -193,20 +207,18 @@ class CapacityMap(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        assignments = {}
-        for color, cap in dict(self.assignments).items():
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+        def valid(cap) -> bool:
+            return isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0
+
+        given = dict(self.assignments)
+        for color, cap in given.items():
+            if not valid(cap):
                 raise PreconditionError(
                     f"capacity for color {color!r} must be a non-negative integer"
                 )
-            assignments[str(color)] = cap
-        if self.default is not None and (
-            not isinstance(self.default, int)
-            or isinstance(self.default, bool)
-            or self.default < 0
-        ):
+        if self.default is not None and not valid(self.default):
             raise PreconditionError("default capacity must be a non-negative integer")
-        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "assignments", {str(c): v for c, v in given.items()})
 
     @classmethod
     def uniform(cls, cap: int) -> CapacityMap:

@@ -251,6 +251,17 @@ class TestOracleCommand:
         assert "DISAGREE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "certify", "oracle"])
+@pytest.mark.parametrize("m", ["1", "0"])
+def test_zero_vertices_is_one_input_error(tmp_path, capsys, command, m):
+    path = tmp_path / "empty.txt"
+    path.write_text("graph 0\n")
+    assert cli.main([command, str(path), "-m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: component count is undefined on zero vertices\n"
+
+
 # Impossible instances and their `solve -m 1 --json` bytes, frozen from the
 # solver that peeled a maximum forest; the violating set read off the final
 # search must match them byte for byte.
