@@ -13,7 +13,8 @@ target component count. The other two compute, once per instance, the two
 sides of Edmonds' min-max equality, from which the verdict at every target
 follows: :func:`oracle_fewest_components` from the color sets, and
 :func:`oracle_forest_search` as a largest forest. Both color-set oracles
-read one enumeration of the color subsets.
+read one enumeration of the color subsets, and every component count and
+cycle test here is a :class:`~capforest.graph.DisjointSet`.
 """
 
 from __future__ import annotations
@@ -188,45 +189,16 @@ def oracle_fewest_components(g: ColoredGraph, caps: CapacityMap) -> int:
     return max(left - spent for _, left, spent in _color_sets(g, caps, colors))
 
 
-class _RewindableDisjointSet:
-    """Union by size without path compression, so unions can be undone."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self._trail: list[int] = []
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self._trail.append(rb)
-        return True
-
-    def rewind(self) -> None:
-        rb = self._trail.pop()
-        ra = self.parent[rb]
-        self.parent[rb] = rb
-        self.size[ra] -= self.size[rb]
-
-
 def oracle_forest_search(g: ColoredGraph, caps: CapacityMap) -> Forest:
     """First largest capacity-respecting forest, by branch and bound.
 
     Extends forests over the edges in increasing index order, stops at the
     first spanning tree (``n - 1`` edges), and abandons a branch once the
-    edges left cannot beat the largest forest found so far. Returns the
-    first largest forest in index order; a forest with ``m`` components
-    exists exactly when ``n - size <= m``. Independent of the solver.
+    edges left cannot beat the largest forest found so far; a backtrack
+    undoes its union with :meth:`~capforest.graph.DisjointSet.rewind`.
+    Returns the first largest forest in index order; a forest with ``m``
+    components exists exactly when ``n - size <= m``. Independent of the
+    solver.
     Graphs beyond ``ORACLE_MAX_EDGES`` edges are refused.
     """
     edges = g.edges
@@ -238,7 +210,7 @@ def oracle_forest_search(g: ColoredGraph, caps: CapacityMap) -> Forest:
     target = g.n - 1
     counts: dict[str, int] = {}
     chosen: list[int] = []
-    dsu = _RewindableDisjointSet(g.n)
+    dsu = DisjointSet(g.n)
     best: tuple[int, ...] = ()
 
     def extend(start: int) -> None:

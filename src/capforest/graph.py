@@ -5,7 +5,7 @@ ids before construction. Colors are arbitrary strings compared and sorted
 lexicographically, and that order drives every deterministic iteration in
 the package. The three core types are immutable records (:class:`Record`)
 and can be shared freely between threads; union-find scratch state is
-created per call.
+created per call, and :class:`DisjointSet` is the package's only union-find.
 """
 
 from __future__ import annotations
@@ -69,20 +69,23 @@ class Edge(NamedTuple):
 
 
 class DisjointSet:
-    """Union-find over ``0..n-1`` with path compression and union by size."""
+    """Union-find over ``0..n-1`` by size, whose unions can be undone.
+
+    There is no path compression, so :meth:`rewind` can restore the state
+    before the latest union exactly; union by size alone keeps every
+    :meth:`find` within ``log2(n)`` steps.
+    """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
         self.components = n
+        self._absorbed: list[int] = []  # root each union hung below another
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
 
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of ``a`` and ``b``; False when already joined."""
@@ -94,7 +97,16 @@ class DisjointSet:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         self.components -= 1
+        self._absorbed.append(rb)
         return True
+
+    def rewind(self) -> None:
+        """Undo the latest union not yet undone (IndexError when none is left)."""
+        rb = self._absorbed.pop()
+        ra = self.parent[rb]
+        self.parent[rb] = rb
+        self.size[ra] -= self.size[rb]
+        self.components += 1
 
 
 def check_component_target(n: int, m: int, top: int | None = None) -> None:
@@ -234,7 +246,8 @@ class CapacityMap(Record):
         return value
 
     def total(self, colors: Iterable[str]) -> int:
-        return sum(self.cap(c) for c in colors)
+        # sorted, so a missing capacity names the same color on every run
+        return sum(self.cap(c) for c in sorted(colors))
 
 
 class Forest(Record):

@@ -206,28 +206,19 @@ def resolve_capacities(
     return CapacityMap(caps, default=default)
 
 
-def emit_instance(
-    graph: ColoredGraph,
-    capacities: dict[str, int] | None = None,
-    default_capacity: int | None = None,
-) -> str:
-    """Render a graph (and optional capacities) back to instance text.
+def emit_instance(graph: ColoredGraph) -> str:
+    """Render a graph back to instance text, without capacities.
 
-    Re-parsing the output reproduces the same vertex count, the same edge
-    list in the same order, and the same capacities. A color that would not
-    read back as one token (empty, containing whitespace, or starting a
-    comment) is refused.
+    Re-parsing the output reproduces the same vertex count and the same
+    edge list in the same order. A color that would not read back as one
+    token (empty, containing whitespace, or starting a comment) is refused.
     """
-    for color in {e.color for e in graph.edges}.union(capacities or ()):
+    for color in sorted({e.color for e in graph.edges}):
         if color.split() != [color] or color.startswith("#"):
             raise PreconditionError(
                 f"color {color!r} cannot be written as a bare token"
             )
     lines = [f"graph {graph.n}"]
-    if default_capacity is not None:
-        lines.append(f"fdefault {default_capacity}")
-    for color in sorted(capacities or {}):
-        lines.append(f"f {color} {capacities[color]}")
     for e in graph.edges:
         lines.append(f"e {e.u} {e.v} {e.color}")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from capforest import (
     density_sufficient,
     oracle_condition,
 )
+from capforest.graph import DisjointSet
 
 PALETTE = ("a", "b", "c", "d")
 
@@ -71,6 +72,16 @@ class TestConstruction:
             ([(-1, 0, "a")], "vertex out of range 0..2"),
             ([(0, 1.0, "a")], "vertex ids must be integers, got (0,1.0)"),
             ([(True, 2, "a")], "vertex ids must be integers, got (True,2)"),
+        ],
+        # fixed ids, so that editing a message renames no test
+        ids=[
+            "edges0-duplicate edge {1,0}",
+            "edges1-duplicate edge {0,2}",
+            "edges2-loop at vertex 1",
+            "edges3-vertex out of range 0..2",
+            "edges4-vertex out of range 0..2",
+            "edges5-vertex ids must be integers, got (0,1.0)",
+            "edges6-vertex ids must be integers, got (True,2)",
         ],
     )
     def test_rejection_messages(self, edges, message):
@@ -239,6 +250,10 @@ class TestCapacityMap:
         caps = CapacityMap({"a": 2, "b": 0}, default=5)
         assert caps.total(["a", "b", "x"]) == 7
 
+    def test_total_names_the_smallest_missing_color(self):
+        with pytest.raises(MissingCapacityError, match="'a'"):
+            CapacityMap({"c": 1}).total(["d", "c", "b", "a"])
+
 
 class TestForest:
     def test_edge_count_plus_components_is_n(self):
@@ -283,6 +298,73 @@ class TestForest:
         monkeypatch.setattr(graph, "DisjointSet", NoMerge)
         with pytest.raises(InternalSolverError):
             Forest(triangle(), (0,))
+
+
+@st.composite
+def union_runs(draw, max_n=12):
+    """A vertex count and a mixed run of ``("union", a, b)`` and ``("rewind",)``."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    union = st.tuples(st.just("union"), vertex, vertex)
+    ops = draw(st.lists(st.one_of(union, st.just(("rewind",))), max_size=40))
+    return n, ops
+
+
+def climb(dsu, x):
+    """Steps ``find(x)`` takes to reach its root."""
+    steps = 0
+    while dsu.parent[x] != x:
+        x, steps = dsu.parent[x], steps + 1
+    return steps
+
+
+class TestDisjointSet:
+    @given(union_runs())
+    def test_union_is_false_exactly_when_already_joined(self, run):
+        n, ops = run
+        dsu = DisjointSet(n)
+        for op in ops:
+            if op[0] == "union":
+                joined = dsu.find(op[1]) == dsu.find(op[2])
+                assert dsu.union(op[1], op[2]) is not joined
+            elif dsu.components < n:
+                dsu.rewind()
+
+    @given(union_runs())
+    def test_rewind_restores_the_state_before_the_latest_union(self, run):
+        n, ops = run
+        dsu = DisjointSet(n)
+        before = []  # snapshot taken before each union not yet undone
+        for op in ops:
+            state = (list(dsu.parent), list(dsu.size), dsu.components)
+            if op[0] == "union":
+                if dsu.union(op[1], op[2]):
+                    before.append(state)
+                else:
+                    assert (dsu.parent, dsu.size, dsu.components) == state
+            elif before:
+                dsu.rewind()
+                assert (dsu.parent, dsu.size, dsu.components) == before.pop()
+            else:
+                with pytest.raises(IndexError):
+                    dsu.rewind()
+                assert (dsu.parent, dsu.size, dsu.components) == state
+        while before:
+            dsu.rewind()
+            assert (dsu.parent, dsu.size, dsu.components) == before.pop()
+        assert (dsu.parent, dsu.size, dsu.components) == (list(range(n)), [1] * n, n)
+
+    @given(union_runs(max_n=64))
+    def test_find_climbs_at_most_log2_n_steps(self, run):
+        n, ops = run
+        dsu = DisjointSet(n)
+        for op in ops:
+            if op[0] == "union":
+                dsu.union(op[1], op[2])
+            elif dsu.components < n:
+                dsu.rewind()
+            # a root of height h holds at least 2 ** h vertices
+            assert all(2 ** climb(dsu, x) <= dsu.size[dsu.find(x)] <= n for x in range(n))
 
 
 @given(colored_graphs())
