@@ -3,10 +3,10 @@
 When no qualifying forest exists, some color set ``R`` witnesses the
 failure: deleting every ``R``-colored edge leaves strictly more components
 than the target plus the total budget of ``R``, so no forest could bridge
-the gap. :func:`extract_certificate` reads such a set off the solver's
-final exchange-graph search, the one that finds no augmenting path, and
-re-verifies it by deleting the colors and counting components. The
-oracle functions answer the same question by brute force and exist to
+the gap. :func:`extract_certificate` takes the colors that the solver's
+final exchange-graph search reached, the one that finds no augmenting
+path, and re-verifies them by deleting the colors and counting components.
+The oracle functions answer the same question by brute force and exist to
 cross-check the solver on small instances; they must stay independent of
 the augmenting-path machinery. :func:`oracle_condition` answers it for one
 target component count. The other two compute, once per instance, the two
@@ -101,12 +101,14 @@ def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
     :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` has
     returned None, and its forest must fall short of ``n - components``
     edges (both checked); the graph and the budgets are the search's own.
-    The violating set is the colors of the outside edges the search reached
-    from the sources: by Edmonds' matroid intersection min-max theorem the
-    reached set is a minimum cut, so deleting its colors leaves more
-    components than the target plus their budget. Rather than trust this,
-    the set is re-verified by direct computation, and :class:`Certificate`
-    refuses it unless the inequality is violated strictly.
+    The violating set is ``search.reached_colors``, the colors of the
+    outside edges the search reached: by Edmonds' matroid intersection
+    min-max theorem the reached set is a minimum cut, so deleting its
+    colors leaves ``n - |F|`` components plus their budget. Rather than
+    trust this, the components are recounted: a count off that equality
+    means the forest is not maximum, an :class:`InternalSolverError`, and
+    :class:`Certificate` refuses the set unless the inequality is violated
+    strictly.
     """
     forest = search.forest
     g = forest.host
@@ -114,16 +116,19 @@ def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
         raise PreconditionError(
             "forest already reaches the component target; nothing to certify"
         )
-    if search.reached is None:
+    violating = search.reached_colors
+    if violating is None:
         raise PreconditionError(
             "the search has not come up empty; "
             "certificate extraction needs a search on a maximum forest"
         )
-    members = frozenset(forest.members)
-    violating = frozenset(
-        g.edges[i].color for i in search.reached if i not in members
-    )
     remaining, budget = evaluate_condition(g, search.caps, components, violating)
+    if remaining - (budget - components) != g.n - forest.size:
+        raise InternalSolverError(
+            f"the forest is not maximum: {remaining} components without the "
+            f"reached colors, minus their budget {budget - components}, "
+            f"is not n - |F| = {g.n - forest.size}"
+        )
     return Certificate(violating, remaining, budget)
 
 

@@ -4,7 +4,7 @@ Exit codes (stable contract): ``0`` solution found / inequality holds /
 oracles agree / sweep clean; ``1`` no solution exists (a verdict, not an
 error); ``2`` bad input, including files that are not UTF-8; ``3``
 internal disagreement between solver and oracles, a failed sweep, or an
-:class:`InternalSolverError` (bug indicators).
+:class:`InternalSolverError` (bug indicators), or running out of memory.
 """
 
 from __future__ import annotations
@@ -268,6 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InternalSolverError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
+    except MemoryError:
+        # the input was well formed, but the solver could not finish it
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DISAGREE
     except (CapforestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

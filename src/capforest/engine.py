@@ -14,7 +14,7 @@ that joins two forest components and ending at an edge whose color still
 has spare budget makes the forest one edge larger; when no chain exists
 the forest has maximum size among all capacity-respecting forests, which
 the exhaustive oracles in :mod:`capforest.certificates` cross-check at
-test scale, and the edges that last search reached yield the violating
+test scale, and the colors that last search reached form the violating
 color set.
 """
 
@@ -72,8 +72,8 @@ class ExchangeGraph:
     The graph is the forest's host. The forest must respect ``caps``;
     otherwise the constructor raises :class:`PreconditionError`. The forest
     and the budgets are kept as ``forest`` and ``caps``. A search that finds
-    no path leaves the nodes it reached in ``reached``; the colors of the
-    reached outside edges form a violating color set
+    no path keeps the colors of the outside edges it reached in
+    ``reached_colors``; they form a violating color set
     (:func:`capforest.certificates.extract_certificate`).
     """
 
@@ -135,7 +135,7 @@ class ExchangeGraph:
                 a = parent[a]
 
         self.forest = forest
-        self.reached: frozenset[int] | None = None
+        self.reached_colors: frozenset[str] | None = None
         self.caps = caps
         self._edges = edges
         self._member_set = member_set
@@ -143,21 +143,16 @@ class ExchangeGraph:
         self._arcs_from_member = arcs
         self._spare = spare
 
-    def _neighbors(self, node: int) -> list[int]:
-        if node in self._member_set:
-            return self._arcs_from_member[node]
-        # only outside edges of a full color get here: the search returns
-        # at the first layer that holds a sink, before expanding it
-        return self._members_by_color.get(self._edges[node].color, [])
-
     def shortest_augmenting_path(self) -> list[int] | None:
         """Shortest source-to-sink path, or None when the forest is maximum.
 
         Breadth-first, scanning each layer in increasing edge-index order,
-        so ties always resolve the same way. When no path exists, the nodes
-        reached from the sources are kept in ``reached``.
+        so ties always resolve the same way. When no path exists, every
+        reached outside edge has a full color (else it is a sink), and the
+        colors expanded are kept in ``reached_colors``.
         """
         edges, members, spare = self._edges, self._member_set, self._spare
+        arcs, by_color = self._arcs_from_member, self._members_by_color
         parent: dict[int, int | None] = {s: None for s in self.sources}
         # the outside edges of one full color all reach that color's members,
         # so the first of them to be expanded claims all that they can reach
@@ -175,17 +170,21 @@ class ExchangeGraph:
                     return path[::-1]
             nxt = []
             for node in layer:
-                if node not in members:
+                if node in members:
+                    reach = arcs[node]
+                else:
+                    # a full color: a sink would have ended the search
                     color = edges[node].color
                     if color in expanded:
                         continue
                     expanded.add(color)
-                for nb in self._neighbors(node):
+                    reach = by_color.get(color, [])
+                for nb in reach:
                     if nb not in parent:
                         parent[nb] = node
                         nxt.append(nb)
             layer = sorted(nxt)
-        self.reached = frozenset(parent)
+        self.reached_colors = frozenset(expanded)
         return None
 
 
@@ -193,7 +192,7 @@ def augment_step(search: ExchangeGraph) -> ExchangeGraph | None:
     """One augmentation: the search on a forest one edge larger, or None.
 
     Runs ``search``; when it finds no augmenting path the forest is maximum,
-    ``search.reached`` holds what it reached, and the step returns None.
+    ``search.reached_colors`` holds its colors, and the step returns None.
     Otherwise the larger forest is the symmetric difference of the members
     with the path. It is re-validated before the next search is built on
     it: a size other than one more, a cycle, or a color over budget is an
@@ -243,7 +242,7 @@ def _final_search(g: ColoredGraph, caps: CapacityMap) -> ExchangeGraph:
     """The search that finds no augmenting path, run on a maximum forest.
 
     Starts from the greedy forest of :func:`_greedy_forest` and augments to
-    a fixpoint; the returned search holds that forest and what it reached.
+    a fixpoint; the returned search holds that forest and its reached colors.
     """
     search = ExchangeGraph(caps, _greedy_forest(g, caps))
     while (bigger := augment_step(search)) is not None:

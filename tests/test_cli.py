@@ -151,6 +151,36 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == f"internal error: {message}\n"
 
+    def test_forest_short_of_maximum_exits_three(self, tmp_path, capsys, monkeypatch):
+        from capforest.engine import ExchangeGraph
+
+        def give_up(search):
+            search.reached_colors = frozenset()
+            return None
+
+        # the greedy forest is one exchange short of the maximum, and the
+        # empty color set alone would pass as a certificate at m = 1
+        monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", give_up)
+        path = tmp_path / "inst.txt"
+        path.write_text("graph 5\nfdefault 1\ne 0 1 a\ne 2 3 a\ne 1 2 b\ne 0 2 c\n")
+        assert cli.main(["solve", str(path), "-m", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: the forest is not maximum: 2 components without "
+            "the reached colors, minus their budget 0, is not n - |F| = 3\n"
+        )
+
+    def test_out_of_memory_exits_three(self, triangle_file, capsys, monkeypatch):
+        def exhausted(g, caps, components):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        assert cli.main(["solve", triangle_file, "-m", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
+
     def test_target_out_of_range_is_input_error(self, triangle_file, capsys):
         assert cli.main(["solve", triangle_file, "-m", "9"]) == 2
 
@@ -348,6 +378,13 @@ GOLDEN_AT_SCALE = {
         "f c0 1000\nf c1 1\n", 1, 1,
         "7ba87dcb8c5b2df7484dbf57f70aa69ebf8a4ae855b30446ae9a0a67988ab3fe",
     ),
+    # the impossible-fewcolor bench shape: 8 colors with budgets 1-3 on
+    # about 24k edges; the final search reaches all 8, so all 8 violate
+    "impossible-fewcolor-400": (
+        ("--n", "400", "--p", "0.3", "--colors", "8", "--seed", "5"),
+        "fdefault 1\n" + "".join(f"f c{j} {1 + j % 3}\n" for j in range(8)), 1, 1,
+        "d963bbd0ebb781d13a8422bff5ab9c26d24f3206dcadb99f35e76535219b0721",
+    ),
 }
 
 
@@ -361,6 +398,8 @@ class TestSolveGoldenAtScale:
             ("prune-100", "0"),
             ("impossible-300", "0"),
             ("impossible-300", "4242"),
+            ("impossible-fewcolor-400", "0"),
+            ("impossible-fewcolor-400", "4242"),
         ],
     )
     def test_solve_json_bytes(self, tmp_path, name, hash_seed):

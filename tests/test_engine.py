@@ -115,7 +115,7 @@ class TestAugmentStep:
         g = path_aa()
         search = ExchangeGraph(CapacityMap({"a": 1}), Forest(g, (0,)))
         assert augment_step(search) is None
-        assert search.reached is not None
+        assert search.reached_colors is not None
 
     def test_exchange_through_saturated_color(self):
         g = square_aabb()
@@ -158,6 +158,29 @@ class TestStepSelfChecks:
         with pytest.raises(InternalSolverError) as info:
             solve(make_graph(), caps, 1)
         assert str(info.value) == message
+
+
+class TestForestMaximumCheck:
+    def test_search_that_gives_up_early_is_an_internal_error(self, monkeypatch):
+        def give_up(search):
+            search.reached_colors = frozenset()
+            return None
+
+        # the greedy forest (edges 0 and 2) leaves 3 components and the
+        # exchange path 1, 0, 3 reaches 2; a search that gives up at once
+        # claims no color reached, and the empty set alone would pass as a
+        # certificate at m = 1, since 2 components > 1 + 0
+        g = ColoredGraph(5, [(0, 1, "a"), (2, 3, "a"), (1, 2, "b"), (0, 2, "c")])
+        caps = CapacityMap.uniform(1)
+        assert maximize_forest(g, caps).members == (1, 2, 3)
+        assert isinstance(solve(g, caps, 1), Impossible)
+        monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", give_up)
+        with pytest.raises(InternalSolverError) as info:
+            solve(g, caps, 1)
+        assert str(info.value) == (
+            "the forest is not maximum: 2 components without the reached "
+            "colors, minus their budget 0, is not n - |F| = 3"
+        )
 
 
 class TestMaximizeForest:
@@ -230,7 +253,7 @@ class TestExchangeArcs:
         assert graph.sources == sorted(graph.sources), key
         forest = graph.forest
         for m, expected in forest_path_arcs(forest.host, forest).items():
-            assert sorted(graph._neighbors(m)) == expected, (key, m)
+            assert sorted(graph._arcs_from_member[m]) == expected, (key, m)
 
     def test_arcs_match_union_find_oracle_along_augmentation(self):
         for key, g, caps in seeded_instances():

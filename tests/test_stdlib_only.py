@@ -1,9 +1,9 @@
 """The package and the benchmark scripts import only the standard library.
 
-Every absolute import in ``src/capforest/*.py`` and ``bench/*.py`` must name
-a standard-library module, the ``capforest`` package, or a module that sits
-in the same directory as the importing file (the bench scripts import each
-other as ``import run``). Relative imports stay inside the package.
+Every absolute import in ``src/capforest/*.py``, ``bench/*.py`` and
+``tools/*.py`` must name a standard-library module, the ``capforest``
+package, or a module that sits in the same directory as the importing file
+(the bench scripts import each other as ``import run``). Relative imports stay inside the package.
 """
 
 import ast
@@ -14,7 +14,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted(
-    [*(ROOT / "src" / "capforest").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    [
+        *(ROOT / "src" / "capforest").glob("*.py"),
+        *(ROOT / "bench").glob("*.py"),
+        *(ROOT / "tools").glob("*.py"),
+    ]
 )
 
 
@@ -38,7 +42,7 @@ def foreign_imports(path: Path) -> list[str]:
 
 
 def test_both_directories_are_checked():
-    assert {p.parent.name for p in CHECKED} == {"capforest", "bench"}
+    assert {p.parent.name for p in CHECKED} == {"capforest", "bench", "tools"}
 
 
 @pytest.mark.parametrize("path", CHECKED, ids=lambda p: f"{p.parent.name}/{p.name}")
