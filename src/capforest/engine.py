@@ -11,11 +11,14 @@ fully-used color). One walk per step roots and labels every forest
 component; forest paths are the climbs from both endpoints to their
 lowest common ancestor. A shortest chain of such swaps starting at an edge
 that joins two forest components and ending at an edge whose color still
-has spare budget makes the forest one edge larger; when no chain exists
-the forest has maximum size among all capacity-respecting forests, which
-the exhaustive oracles in :mod:`capforest.certificates` cross-check at
-test scale, and the colors that last search reached form the violating
-color set.
+has spare budget makes the forest one edge larger. The search for it
+works color by color: all outside edges of one fully-used color reach the
+same forest edges, so it starts from one source per color and claims a
+color's forest edges once, alternating outside and member half-steps.
+When no chain exists the forest has maximum size among all
+capacity-respecting forests, which the exhaustive oracles in
+:mod:`capforest.certificates` cross-check at test scale, and the colors
+that last search reached form the violating color set.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ SolveVerdict = Found | Impossible
 class ExchangeGraph:
     """Search structure for one augmentation step.
 
-    Nodes are edge indices of the host graph. ``sources`` are outside edges
-    joining two forest components; sinks are outside edges whose color
+    Nodes are edge indices of the host graph. Sources are outside edges
+    joining two forest components; ``sources`` keeps the smallest-index one
+    of each color, in increasing index order, because the others reach
+    nothing that the first does not. Sinks are outside edges whose color
     still has spare budget (an edge that is both is a zero-length
     augmenting path). Arcs run from a member edge to every outside edge
     whose forest path contains it, and from an outside edge with a
@@ -118,15 +123,14 @@ class ExchangeGraph:
 
         member_set = frozenset(forest.members)
         arcs: dict[int, list[int]] = {i: [] for i in forest.members}
-        spare: dict[str, bool] = {}
-        self.sources: list[int] = []
+        # color -> its smallest-index outside edge joining two components;
+        # colors enter in increasing index order, so the values are sorted
+        first_source: dict[str, int] = {}
         for i, (a, b, color) in enumerate(edges):
             if i in member_set:
                 continue
-            if color not in spare:
-                spare[color] = len(members_by_color.get(color, ())) < caps.cap(color)
             if label[a] != label[b]:
-                self.sources.append(i)
+                first_source.setdefault(color, i)
                 continue
             while a != b:
                 if depth[a] < depth[b]:
@@ -134,6 +138,7 @@ class ExchangeGraph:
                 arcs[parent_edge[a]].append(i)
                 a = parent[a]
 
+        self.sources: list[int] = list(first_source.values())
         self.forest = forest
         self.reached_colors: frozenset[str] | None = None
         self.caps = caps
@@ -141,49 +146,52 @@ class ExchangeGraph:
         self._member_set = member_set
         self._members_by_color = members_by_color
         self._arcs_from_member = arcs
-        self._spare = spare
 
     def shortest_augmenting_path(self) -> list[int] | None:
         """Shortest source-to-sink path, or None when the forest is maximum.
 
         Breadth-first, scanning each layer in increasing edge-index order,
-        so ties always resolve the same way. When no path exists, every
-        reached outside edge has a full color (else it is a sink), and the
-        colors expanded are kept in ``reached_colors``.
+        so ties always resolve the same way. Layers alternate: the outside
+        half-step stops at the first edge whose color has spare budget and
+        otherwise expands each color once, from its first edge, to all its
+        members; the member half-step claims the inside edges on the
+        members' forest paths. A color's budget is read when the search
+        first reaches it, so a missing one raises
+        :class:`~capforest.errors.MissingCapacityError` here. When no path
+        exists, every reached outside edge has a full color (else it is a
+        sink), and the colors expanded are kept in ``reached_colors``.
         """
-        edges, members, spare = self._edges, self._member_set, self._spare
+        edges, caps = self._edges, self.caps
         arcs, by_color = self._arcs_from_member, self._members_by_color
-        parent: dict[int, int | None] = {s: None for s in self.sources}
-        # the outside edges of one full color all reach that color's members,
-        # so the first of them to be expanded claims all that they can reach
+        parent: dict[int, int | None] = dict.fromkeys(self.sources)
         expanded: set[str] = set()
-        # the edge pass appended the sources in increasing index order
-        layer = self.sources
-        while layer:
-            for node in layer:
-                if node not in members and spare[edges[node].color]:
+        outside = self.sources
+        while outside:
+            # outside half-step: a color's first edge is a sink or expands it
+            reached: list[int] = []
+            for node in outside:
+                color = edges[node].color
+                if color in expanded:
+                    continue
+                same = by_color.get(color, ())
+                if len(same) < caps.cap(color):
                     path = []
                     cur: int | None = node
                     while cur is not None:
                         path.append(cur)
                         cur = parent[cur]
                     return path[::-1]
+                expanded.add(color)
+                parent.update(dict.fromkeys(same, node))
+                reached += same
+            # member half-step: members claim the inside edges on their paths
             nxt = []
-            for node in layer:
-                if node in members:
-                    reach = arcs[node]
-                else:
-                    # a full color: a sink would have ended the search
-                    color = edges[node].color
-                    if color in expanded:
-                        continue
-                    expanded.add(color)
-                    reach = by_color.get(color, [])
-                for nb in reach:
+            for node in sorted(reached):
+                for nb in arcs[node]:
                     if nb not in parent:
                         parent[nb] = node
                         nxt.append(nb)
-            layer = sorted(nxt)
+            outside = sorted(nxt)
         self.reached_colors = frozenset(expanded)
         return None
 

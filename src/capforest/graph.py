@@ -184,7 +184,8 @@ class ColoredGraph(Record):
                     f"vertex ids must be integers, got ({u!r},{v!r})", i
                 )
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphConstructionError(f"vertex out of range 0..{n - 1}", i)
+                span = f" 0..{n - 1}" if n else ": the graph has no vertices"
+                raise GraphConstructionError(f"vertex out of range{span}", i)
             if u == v:
                 raise GraphConstructionError(f"loop at vertex {u}", i)
             pair = u * n + v if u < v else v * n + u
@@ -312,8 +313,7 @@ class Forest(Record):
 
 def component_count(g: ColoredGraph) -> int:
     """Number of connected components, by union-find over the edge list."""
-    if g.n == 0:
-        raise EmptyGraphError("component count is undefined on zero vertices")
+    check_component_target(g.n, 1)  # refuses zero vertices, as every target does
     dsu = DisjointSet(g.n)
     for e in g.edges:
         dsu.union(e.u, e.v)

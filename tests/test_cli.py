@@ -372,7 +372,8 @@ GOLDEN_AT_SCALE = {
         "8310b8b1d5d74167001f79341b80fd9fc0aec437e387919552e4e5d193092550",
     ),
     # impossible: in the final search 357 outside edges of c0 still have
-    # spare budget, and none of them is reachable from the 18 sources
+    # spare budget, and none of them is reachable from the one source, the
+    # first of the 18 c1 edges that join two components
     "impossible-300": (
         ("--n", "300", "--p", "0.03", "--colors", "2", "--seed", "2"),
         "f c0 1000\nf c1 1\n", 1, 1,
@@ -415,6 +416,29 @@ class TestSolveGoldenAtScale:
         )
         assert run.returncode == code, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+    def test_path_and_chords_8000(self, tmp_path):
+        # a path 0..n-1 of color p, chords (i, i + n/2) of color q with
+        # budget 0, and one more p edge to vertex n: m = 1 is impossible,
+        # and the forest paths of the chords sum to about n^2 / 4 arcs
+        n = 8000
+        lines = [f"graph {n + 1}"]
+        lines += [f"e {i} {i + 1} p" for i in range(n - 1)]
+        lines += [f"e {i} {i + n // 2} q" for i in range(n // 2)]
+        lines.append(f"e 0 {n} p")
+        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
+        inst.write_text("\n".join(lines) + "\n")
+        sidecar.write_text(f"f p {n - 1}\nf q 0\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+        run = subprocess.run(
+            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
+             "--caps", str(sidecar), "--json"],
+            env=env, capture_output=True, check=False, timeout=120,
+        )
+        assert run.returncode == 1, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "fef75d873cedede7a5c5dd7cd590bd391f6efc592f7462cb4031709937dff924"
+        )
 
 
 class TestGenCommand:

@@ -8,15 +8,18 @@ from capforest import (
     ColoredGraph,
     Forest,
     Found,
+    GenSpec,
     Impossible,
     InternalSolverError,
+    MissingCapacityError,
     PreconditionError,
     augment_step,
+    generate,
     maximize_forest,
     prune_to_components,
     solve,
 )
-from capforest.engine import ExchangeGraph
+from capforest.engine import ExchangeGraph, _final_search
 from capforest.sweeps import sample_solver_instance
 
 
@@ -69,6 +72,22 @@ def cold_start(g, caps):
     return search.forest
 
 
+def component_labels(g, kept):
+    """One union-find root per vertex, over the edges ``kept``."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in kept:
+        e = g.edges[i]
+        parent[find(e.u)] = find(e.v)
+    return [find(v) for v in range(g.n)]
+
+
 def forest_path_arcs(g, forest):
     """Member -> inside edges whose forest path uses it, by union-find.
 
@@ -76,23 +95,8 @@ def forest_path_arcs(g, forest):
     when ``u`` and ``v`` fall into different components of the forest
     without ``m``.
     """
-
-    def labels(kept):
-        parent = list(range(g.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in kept:
-            e = g.edges[i]
-            parent[find(e.u)] = find(e.v)
-        return [find(v) for v in range(g.n)]
-
     members = set(forest.members)
-    whole = labels(members)
+    whole = component_labels(g, members)
     inside = [
         i
         for i, e in enumerate(g.edges)
@@ -100,9 +104,19 @@ def forest_path_arcs(g, forest):
     ]
     arcs = {}
     for m in members:
-        cut = labels(members - {m})
+        cut = component_labels(g, members - {m})
         arcs[m] = [i for i in inside if cut[g.edges[i].u] != cut[g.edges[i].v]]
     return arcs
+
+
+def first_sources(g, forest):
+    """Color -> smallest-index edge joining two forest components, by union-find."""
+    whole = component_labels(g, forest.members)
+    first = {}
+    for i, e in enumerate(g.edges):
+        if whole[e.u] != whole[e.v]:
+            first.setdefault(e.color, i)
+    return first
 
 
 class TestAugmentStep:
@@ -128,6 +142,13 @@ class TestAugmentStep:
         g = path_aa()
         with pytest.raises(PreconditionError):
             ExchangeGraph(CapacityMap({"a": 1}), Forest(g, (0, 1)))
+
+    def test_missing_budget_is_read_when_the_search_reaches_it(self):
+        # b has no forest edge, so only the search asks for its budget
+        search = ExchangeGraph(CapacityMap({"a": 1}), Forest(path_ab(), (0,)))
+        assert search.sources == [1]
+        with pytest.raises(MissingCapacityError, match="'b'"):
+            search.shortest_augmenting_path()
 
 
 class TestStepSelfChecks:
@@ -249,9 +270,11 @@ class TestWarmStart:
 
 class TestExchangeArcs:
     def check(self, key, graph):
-        # the search scans its first layer in this order, without sorting
-        assert graph.sources == sorted(graph.sources), key
         forest = graph.forest
+        # one source per color, its first; the search scans them in this
+        # order, without sorting
+        first = first_sources(forest.host, forest)
+        assert graph.sources == sorted(first.values()), key
         for m, expected in forest_path_arcs(forest.host, forest).items():
             assert sorted(graph._arcs_from_member[m]) == expected, (key, m)
 
@@ -278,6 +301,17 @@ class TestExchangeArcs:
                     continue
                 kept.append(i)
             self.check(f"spanning:{seed}", ExchangeGraph(caps, forest))
+
+    def test_few_colors_give_few_sources(self):
+        # the impossible-fewcolor bench shape: about 24k edges on 8 colors
+        g = generate(GenSpec(5, 400, p=0.3, palette_size=8))
+        caps = CapacityMap({f"c{j}": 1 + j % 3 for j in range(8)})
+        search = _final_search(g, caps)
+        # every budget is used up, and no exchange helps
+        assert search.forest.size == sum(1 + j % 3 for j in range(8))
+        assert len(search.sources) <= 8
+        assert search.reached_colors == {f"c{j}" for j in range(8)}
+        self.check("fewcolor-400", search)
 
 
 class TestPrune:

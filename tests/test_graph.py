@@ -63,15 +63,16 @@ class TestConstruction:
             ColoredGraph(3, [(u, v, "a")])
 
     @pytest.mark.parametrize(
-        "edges, message",
+        "n, edges, message",
         [
-            ([(0, 1, "a"), (1, 0, "b")], "duplicate edge {1,0}"),
-            ([(0, 2, "a"), (0, 2, "a")], "duplicate edge {0,2}"),
-            ([(1, 1, "a")], "loop at vertex 1"),
-            ([(0, 3, "a")], "vertex out of range 0..2"),
-            ([(-1, 0, "a")], "vertex out of range 0..2"),
-            ([(0, 1.0, "a")], "vertex ids must be integers, got (0,1.0)"),
-            ([(True, 2, "a")], "vertex ids must be integers, got (True,2)"),
+            (3, [(0, 1, "a"), (1, 0, "b")], "duplicate edge {1,0}"),
+            (3, [(0, 2, "a"), (0, 2, "a")], "duplicate edge {0,2}"),
+            (3, [(1, 1, "a")], "loop at vertex 1"),
+            (3, [(0, 3, "a")], "vertex out of range 0..2"),
+            (3, [(-1, 0, "a")], "vertex out of range 0..2"),
+            (3, [(0, 1.0, "a")], "vertex ids must be integers, got (0,1.0)"),
+            (3, [(True, 2, "a")], "vertex ids must be integers, got (True,2)"),
+            (0, [(0, 1, "a")], "vertex out of range: the graph has no vertices"),
         ],
         # fixed ids, so that editing a message renames no test
         ids=[
@@ -82,11 +83,12 @@ class TestConstruction:
             "edges4-vertex out of range 0..2",
             "edges5-vertex ids must be integers, got (0,1.0)",
             "edges6-vertex ids must be integers, got (True,2)",
+            "edges7-vertex out of range: the graph has no vertices",
         ],
     )
-    def test_rejection_messages(self, edges, message):
+    def test_rejection_messages(self, n, edges, message):
         with pytest.raises(GraphConstructionError) as info:
-            ColoredGraph(3, edges)
+            ColoredGraph(n, edges)
         assert str(info.value) == message
         # the offending edge is the last one of each case
         assert info.value.index == len(edges) - 1
@@ -210,8 +212,9 @@ class TestComponentCount:
         assert component_count(g) == helpers.bfs_component_count(g.n, g.edges)
 
     def test_zero_vertices_rejected(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(EmptyGraphError) as info:
             component_count(ColoredGraph(0))
+        assert str(info.value) == "component count is undefined on zero vertices"
 
 
 class TestColorCensus:

@@ -119,6 +119,7 @@ class TestParseInstance:
             ("e 0 1\ngraph 3\n", "f.txt:1: edge before 'graph' header"),
             ("graph 3 4\n", "f.txt:1: expected 'graph <n>'"),
             ("# c\ngraph -1\n", "f.txt:2: vertex count must be non-negative"),
+            ("graph 0\ne 0 1 c\n", "f.txt:2: vertex out of range: the graph has no vertices"),
         ],
         # fixed ids, so that editing a message renames no test
         ids=[
@@ -134,6 +135,7 @@ class TestParseInstance:
             "e 0 1\ngraph 3\n-f.txt:1: edge before 'graph' header",
             "graph 3 4\n-f.txt:1: expected 'graph <n>'",
             "# c\ngraph -1\n-f.txt:2: vertex count must be non-negative",
+            "graph 0\ne 0 1 c\n-f.txt:2: vertex out of range: the graph has no vertices",
         ],
     )
     def test_bad_edge_line_messages(self, text, message):

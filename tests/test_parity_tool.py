@@ -21,6 +21,8 @@ SMALL = parity.Corpus(
 def test_working_tree_matches_itself():
     report = parity.compare(ROOT, ROOT, SMALL)
     assert report.mismatches == []
+    # each drawn instance's maximisation, path by path
+    assert report.paths == 43
     # every sample at every m, three gnp instances at up to four targets each
     assert report.verdicts > 40
     # gen, three solves, certify, three oracles, one sweep
@@ -38,3 +40,17 @@ def test_a_changed_solver_is_caught(tmp_path):
     report = parity.compare(ROOT, tmp_path, SMALL)
     key, before, after = report.mismatches[0]
     assert before[0] == after[0] == "found" and before != after, key
+
+
+def test_a_changed_tie_break_is_caught(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "src" / "capforest" / "engine.py"
+    text = engine.read_text()
+    # members claim inside edges in decreasing index order: each layer holds
+    # the same edges, but some are claimed by another member
+    ascending = "for node in sorted(reached):"
+    assert ascending in text
+    engine.write_text(text.replace(ascending, "for node in sorted(reached, reverse=True):"))
+    report = parity.compare(ROOT, tmp_path, SMALL)
+    key, before, after = report.mismatches[0]
+    assert key.endswith(" paths") and len(before) == len(after), key

@@ -22,6 +22,10 @@ The old tree draws the instances once and both trees solve the same ones.
 Verdicts are compared in a canonical form: a forest's members, or a
 certificate's sorted colors with omega and the bound (``repr`` lists the
 colors in set order, which changes with insertion order and hash seed).
+Each drawn instance's ``maximize_forest`` is also compared path by path:
+the child wraps ``ExchangeGraph.shortest_augmenting_path`` and records
+every path it returns, so a search that reaches the same forests by other
+paths is a mismatch too.
 The script prints the counts and the first mismatch, and exits 0 only
 when there is none.
 """
@@ -46,7 +50,21 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = r"""
 import json, random, sys
 from capforest import CapacityMap, ColoredGraph, Found, GenSpec, generate, maximize_forest, solve
+from capforest.engine import ExchangeGraph
 from capforest.sweeps import sample_solver_instance
+
+# every search's result, in order: its augmenting path, or None at the end
+taken = []
+search = ExchangeGraph.shortest_augmenting_path
+
+
+def recorded(self):
+    path = search(self)
+    taken.append(path)
+    return path
+
+
+ExchangeGraph.shortest_augmenting_path = recorded
 
 
 def entry(key, g, caps, targets):
@@ -83,11 +101,22 @@ def canonical(g, caps, m):
     return ["impossible", cert.sorted_colors(), cert.omega_measured, cert.bound]
 
 
+def paths(g, caps):
+    taken.clear()
+    try:
+        maximize_forest(g, caps)
+    except Exception as exc:
+        taken.append(["error", type(exc).__name__, str(exc)])
+    return list(taken)
+
+
 def verdicts(instances):
     out = {}
     for key, n, edges, palette, assignments, default, targets in instances:
         g = ColoredGraph(n, [tuple(e) for e in edges], palette=frozenset(palette))
         caps = CapacityMap(assignments, default)
+        # ahead of the verdicts, so a changed search is reported as such
+        out[f"{key} paths"] = paths(g, caps)
         for m in targets:
             out[f"{key} m={m}"] = canonical(g, caps, m)
     return out
@@ -227,6 +256,7 @@ def outputs(tree: Path, instances: list, runs: list[tuple[str, list[str]]], work
 
 class Report(NamedTuple):
     verdicts: int
+    paths: int  # instances whose augmenting paths were compared
     runs: int
     mismatches: list[tuple[str, object, object]]  # (key, old, new)
 
@@ -241,7 +271,7 @@ def compare(old: Path, new: Path, corpus: Corpus = FULL) -> Report:
         with ThreadPoolExecutor(max_workers=2) as pool:
             before, after = pool.map(lambda tree: outputs(tree, instances, runs, work), (old, new))
     mismatches = [(key, before[key], after.get(key)) for key in before if before[key] != after.get(key)]
-    return Report(len(before) - len(runs), len(runs), mismatches)
+    return Report(len(before) - len(instances) - len(runs), len(instances), len(runs), mismatches)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -257,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         report = compare(Path(tmp) if args.against is None else args.against.resolve(), ROOT)
     print(f"verdicts: {report.verdicts} compared")
+    print(f"augmenting paths: {report.paths} maximisations compared")
     print(f"cli runs: {report.runs} compared")
     print(f"mismatches: {len(report.mismatches)}")
     if report.mismatches:
