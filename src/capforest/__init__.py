@@ -22,9 +22,6 @@ _MODULE_OF = {
     "extract_certificate": "certificates",
     "oracle_condition": "certificates",
     "oracle_forest_search": "certificates",
-    "Found": "engine",
-    "Impossible": "engine",
-    "SolveVerdict": "engine",
     "augment_step": "engine",
     "maximize_forest": "engine",
     "prune_to_components": "engine",

@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: ``solve`` prints the returned forest or certificate.
 
 Exit codes (stable contract): ``0`` solution found / inequality holds /
 oracles agree / sweep clean; ``1`` no solution exists (a verdict, not an
@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Only what ``solve`` runs is imported here; the other subcommands import
 # their modules when they run, so that a ``solve`` process starts fast.
-from .engine import Found, SolveVerdict, solve
+from .engine import solve
 from .errors import CapforestError, InstanceParseError, InternalSolverError
-from .graph import CapacityMap
+from .graph import CapacityMap, Forest
 from .instance_io import (
     Instance,
     emit_instance,
@@ -27,6 +28,9 @@ from .instance_io import (
     parse_instance,
     resolve_capacities,
 )
+
+if TYPE_CHECKING:
+    from .certificates import Certificate
 
 EXIT_FOUND = 0
 EXIT_IMPOSSIBLE = 1
@@ -57,25 +61,23 @@ def _load_capacities(args, instance: Instance) -> CapacityMap:
     return resolve_capacities(instance, sidecar)
 
 
-def _verdict_payload(verdict: SolveVerdict) -> dict:
-    if isinstance(verdict, Found):
-        forest = verdict.forest
+def _verdict_payload(verdict: Forest | Certificate) -> dict:
+    if isinstance(verdict, Forest):
         return {
             "exists": True,
-            "components": forest.num_components,
-            "forest": [[e.u, e.v, e.color] for _, e in forest.member_edges()],
-            "color_counts": forest.color_counts(),
+            "components": verdict.num_components,
+            "forest": [[e.u, e.v, e.color] for _, e in verdict.member_edges()],
+            "color_counts": verdict.color_counts(),
         }
-    cert = verdict.certificate
     return {
         "exists": False,
-        "violating_colors": cert.sorted_colors(),
-        "omega": cert.omega_measured,
-        "bound": cert.bound,
+        "violating_colors": verdict.sorted_colors(),
+        "omega": verdict.omega_measured,
+        "bound": verdict.bound,
     }
 
 
-def _print_verdict(verdict: SolveVerdict, as_json: bool) -> None:
+def _print_verdict(verdict: Forest | Certificate, as_json: bool) -> None:
     payload = _verdict_payload(verdict)
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -101,12 +103,12 @@ def cmd_solve(args) -> int:
     caps = _load_capacities(args, instance)
     verdict = solve(instance.graph, caps, args.components)
     if args.dot:
-        forest = verdict.forest if isinstance(verdict, Found) else None
+        forest = verdict if isinstance(verdict, Forest) else None
         Path(args.dot).write_text(
             graph_to_dot(instance.graph, forest), encoding="utf-8"
         )
     _print_verdict(verdict, args.json)
-    return EXIT_FOUND if isinstance(verdict, Found) else EXIT_IMPOSSIBLE
+    return EXIT_FOUND if isinstance(verdict, Forest) else EXIT_IMPOSSIBLE
 
 
 def cmd_certify(args) -> int:
@@ -142,7 +144,7 @@ def cmd_oracle(args) -> int:
     cert = oracle_condition(g, caps, m)
     forest_found = g.n - oracle_forest_search(g, caps).size <= m
 
-    solver_found = isinstance(verdict, Found)
+    solver_found = isinstance(verdict, Forest)
     print(f"solver: {'exists' if solver_found else 'impossible'}")
     if cert is None:
         print("condition oracle: no violating color set")

@@ -18,7 +18,8 @@ color's forest edges once, alternating outside and member half-steps.
 When no chain exists the forest has maximum size among all
 capacity-respecting forests, which the exhaustive oracles in
 :mod:`capforest.certificates` cross-check at test scale, and the colors
-that last search reached form the violating color set.
+that last search reached form the violating color set. :func:`solve`
+returns the proof itself, the pruned forest or that certificate.
 """
 
 from __future__ import annotations
@@ -31,35 +32,11 @@ from .graph import (
     ColoredGraph,
     DisjointSet,
     Forest,
-    Record,
     check_component_target,
 )
 
 if TYPE_CHECKING:
     from .certificates import Certificate
-
-
-class Found(Record):
-    """A qualifying forest exists; here is one."""
-
-    __slots__ = __match_args__ = ("forest",)
-    forest: Forest
-
-    def __init__(self, forest: Forest):
-        object.__setattr__(self, "forest", forest)
-
-
-class Impossible(Record):
-    """No qualifying forest exists; the certificate proves it."""
-
-    __slots__ = __match_args__ = ("certificate",)
-    certificate: Certificate
-
-    def __init__(self, certificate: Certificate):
-        object.__setattr__(self, "certificate", certificate)
-
-
-SolveVerdict = Found | Impossible
 
 
 class ExchangeGraph:
@@ -288,18 +265,18 @@ def prune_to_components(forest: Forest, components: int) -> Forest:
     return Forest(forest.host, forest.members[: forest.size - excess])
 
 
-def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> SolveVerdict:
+def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> Forest | Certificate:
     """Spanning forest with exactly ``components`` parts within ``caps``.
 
-    Returns :class:`Found` with such a forest when one exists, otherwise
-    :class:`Impossible` with a violating color set that proves there is
-    none. ``components`` must lie in ``1..n``. The violating color set is
-    read off the final search, the one that finds no augmenting path.
+    Returns such a :class:`Forest` when one exists, otherwise the
+    :class:`~capforest.certificates.Certificate` that proves there is none.
+    ``components`` must lie in ``1..n``. The violating color set is read
+    off the final search, the one that finds no augmenting path.
     """
     check_component_target(g.n, components)
     search = _final_search(g, caps)
     if search.forest.size >= g.n - components:
-        return Found(prune_to_components(search.forest, components))
+        return prune_to_components(search.forest, components)
     from .certificates import extract_certificate
 
-    return Impossible(extract_certificate(search, components))
+    return extract_certificate(search, components)

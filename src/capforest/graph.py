@@ -116,6 +116,8 @@ def check_component_target(n: int, m: int, top: int | None = None) -> None:
         raise EmptyGraphError("component count is undefined on zero vertices")
     top = n if top is None else top
     if type(m) is not int or not 1 <= m <= top:
+        if top < 1:  # ``1..n-1`` on one vertex
+            raise PreconditionError(f"no component count is allowed when n = {n}, got {m}")
         raise PreconditionError(f"component count must be in 1..{top}, got {m}")
 
 
@@ -223,15 +225,20 @@ class CapacityMap(Record):
         def valid(cap) -> bool:
             return isinstance(cap, int) and not isinstance(cap, bool) and cap >= 0
 
-        given = dict(self.assignments)
-        for color, cap in given.items():
+        assignments: dict[str, int] = {}
+        for color, cap in dict(self.assignments).items():
             if not valid(cap):
                 raise PreconditionError(
                     f"capacity for color {color!r} must be a non-negative integer"
                 )
+            # keys such as "1" and 1 name the same color: refuse, as the parser does
+            color = str(color)
+            if color in assignments:
+                raise PreconditionError(f"duplicate capacity for color {color!r}")
+            assignments[color] = cap
         if self.default is not None and not valid(self.default):
             raise PreconditionError("default capacity must be a non-negative integer")
-        object.__setattr__(self, "assignments", {str(c): v for c, v in given.items()})
+        object.__setattr__(self, "assignments", assignments)
 
     @classmethod
     def uniform(cls, cap: int) -> CapacityMap:

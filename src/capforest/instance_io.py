@@ -18,31 +18,22 @@ the sidecar wins; duplicate assignments within a single file are rejected.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import GraphConstructionError, InstanceParseError, PreconditionError
-from .graph import CapacityMap, ColoredGraph, Forest, Record
+from .graph import CapacityMap, ColoredGraph, Forest
 
 # The solver allocates several lists of size n per search even on an
 # edgeless graph: solving one with 10**6 vertices peaks near 0.2 GB.
 MAX_VERTICES = 10**6
 
 
-class Instance(Record):
+class Instance(NamedTuple):
     """A parsed instance file: the graph plus its inline capacities."""
 
-    __slots__ = __match_args__ = ("graph", "capacities", "default_capacity")
     graph: ColoredGraph
     capacities: dict[str, int]
     default_capacity: int | None
-
-    def __init__(
-        self,
-        graph: ColoredGraph,
-        capacities: dict[str, int],
-        default_capacity: int | None,
-    ):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "capacities", capacities)
-        object.__setattr__(self, "default_capacity", default_capacity)
 
 
 def _int_field(token: str, what: str, where: str) -> int:

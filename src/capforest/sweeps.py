@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 from .bounds import complete_graph_threshold, density_sufficient
 from .certificates import oracle_fewest_components, oracle_forest_search
-from .engine import Found, solve
+from .engine import solve
 from .errors import InternalSolverError, PreconditionError
 from .generators import MAX_VERTICES, GenSpec, generate
-from .graph import CapacityMap, ColoredGraph, color_census
+from .graph import CapacityMap, ColoredGraph, Forest, color_census
 
 
 class LawReport(NamedTuple):
@@ -91,7 +91,7 @@ def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
         fewest = oracle_fewest_components(g, caps)
         smallest = g.n - oracle_forest_search(g, caps).size
         if not all(
-            isinstance(solve(g, caps, m), Found) == (fewest <= m) == (smallest <= m)
+            isinstance(solve(g, caps, m), Forest) == (fewest <= m) == (smallest <= m)
             for m in range(1, g.n + 1)
         ):
             failing.append(key)
@@ -149,7 +149,7 @@ def run_density_guarantee(count: int, seed: int) -> LawReport:
             raise InternalSolverError(
                 f"sweep instance {key} was built to pass the density check"
             )
-        if not isinstance(solve(g, caps, components), Found):
+        if not isinstance(solve(g, caps, components), Forest):
             failing.append(key)
     return _report("density-guarantee", count, failing)
 
@@ -170,7 +170,7 @@ def run_bounded_complete(count: int, seed: int) -> LawReport:
                 k=k,
             )
         )
-        if not isinstance(solve(g, CapacityMap.uniform(1), 1), Found):
+        if not isinstance(solve(g, CapacityMap.uniform(1), 1), Forest):
             failing.append(key)
     return _report("bounded-complete", count, failing)
 

@@ -14,9 +14,9 @@ import pytest
 import helpers
 from capforest import (
     CapacityMap,
+    Certificate,
     ColoredGraph,
-    Found,
-    Impossible,
+    Forest,
     component_count,
     max_edges_for_components,
     maximize_forest,
@@ -58,7 +58,7 @@ def test_criterion_1_exactly_one_law(solved_corpus):
         forest = oracle_forest_search(g, caps)
         for m, verdict in verdicts.items():
             cert = oracle_condition(g, caps, m)
-            found = isinstance(verdict, Found)
+            found = isinstance(verdict, Forest)
             assert found == (cert is None) == (g.n - forest.size <= m), f"{key} m={m}"
             checks += 1
     assert len(solved_corpus) >= 500
@@ -69,14 +69,14 @@ def test_criterion_1_exactly_one_law(solved_corpus):
 
 
 def test_criterion_2_certificate_validity(solved_corpus):
-    """Every Impossible certificate is strictly violating, recomputed from scratch."""
+    """Every returned certificate is strictly violating, recomputed from scratch."""
     certified = 0
     for key, g, caps, verdicts in solved_corpus:
         for m, verdict in verdicts.items():
-            if not isinstance(verdict, Impossible):
+            if not isinstance(verdict, Certificate):
                 continue
             certified += 1
-            cert = verdict.certificate
+            cert = verdict
             remaining = helpers.components_without_colors(g, cert.violating)
             budget = m + sum(caps.cap(c) for c in cert.violating)
             assert remaining == cert.omega_measured, f"{key} m={m}"
@@ -133,7 +133,7 @@ def test_criterion_5_half_bounded_complete_graphs():
 
 
 def test_criterion_6_density_guarantee():
-    """density_sufficient(guaranteed=True) instances always solve to Found."""
+    """density_sufficient(guaranteed=True) instances always solve to a forest."""
     report = run_density_guarantee(LAW_COUNT, SEED)
     assert report.failed == 0, report.first_failing_key
     assert report.passed >= 200
@@ -180,7 +180,7 @@ def test_criterion_8_monotonicity(solved_corpus):
     for key, g, caps, verdicts in solved_corpus:
         found_somewhere = False
         for m in range(1, g.n + 1):
-            found = isinstance(verdicts[m], Found)
+            found = isinstance(verdicts[m], Forest)
             assert not (found_somewhere and not found), f"{key} m={m}"
             found_somewhere = found_somewhere or found
             m_checks += 1
@@ -189,8 +189,8 @@ def test_criterion_8_monotonicity(solved_corpus):
             {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(g.palette)}
         )
         for m in range(1, g.n + 1):
-            if isinstance(verdicts[m], Found):
-                assert isinstance(solve(g, bigger, m), Found), f"{key} m={m}"
+            if isinstance(verdicts[m], Forest):
+                assert isinstance(solve(g, bigger, m), Forest), f"{key} m={m}"
                 f_checks += 1
     print(
         f"\nACCEPTANCE 8 PASS: monotone in m ({m_checks} checks) and in "

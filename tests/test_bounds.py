@@ -7,7 +7,7 @@ import pytest
 from capforest import (
     CapacityMap,
     ColoredGraph,
-    Found,
+    Forest,
     PreconditionError,
     color_census,
     complete_graph_threshold,
@@ -169,5 +169,5 @@ class TestDensitySufficient:
             if not report.guaranteed:
                 continue
             checked += 1
-            assert isinstance(solve(g, caps, m), Found), f"density:{index}"
+            assert isinstance(solve(g, caps, m), Forest), f"density:{index}"
         assert checked >= 100

@@ -9,8 +9,6 @@ from capforest import (
     ColoredGraph,
     EmptyGraphError,
     Forest,
-    Found,
-    Impossible,
     InternalSolverError,
     OracleLimitError,
     PreconditionError,
@@ -140,7 +138,7 @@ class TestExtractCertificate:
             caps = CapacityMap({c: rng.randint(1, 2) for c in palette})
             builds.clear()
             paths.clear()
-            assert isinstance(solve(ColoredGraph(30, edges), caps, 1), Impossible)
+            assert isinstance(solve(ColoredGraph(30, edges), caps, 1), Certificate)
             augmentations = sum(path is not None for path in paths)
             assert len(builds) == len(paths) == augmentations + 1, seed
             augmented += augmentations > 0
@@ -332,7 +330,7 @@ class TestAgreementSweep:
         verdict = solve(g, caps, components)
         cert = oracle_condition(g, caps, components)
         found = g.n - forest.size <= components
-        return isinstance(verdict, Found) == (cert is None) == found
+        return isinstance(verdict, Forest) == (cert is None) == found
 
     def test_three_routes_agree_on_random_instances(self):
         for index in range(120):
@@ -351,9 +349,9 @@ class TestAgreementSweep:
             g, caps = sample_solver_instance(rng)
             for m in range(1, g.n + 1):
                 verdict = solve(g, caps, m)
-                if isinstance(verdict, Impossible):
+                if isinstance(verdict, Certificate):
                     seen += 1
-                    cert = verdict.certificate
+                    cert = verdict
                     remaining = helpers.components_without_colors(g, cert.violating)
                     budget = m + sum(caps.cap(c) for c in cert.violating)
                     assert remaining == cert.omega_measured
@@ -367,7 +365,7 @@ class TestAgreementSweep:
             rng = random.Random(f"necessity:{index}")
             g, caps = sample_solver_instance(rng)
             for m in range(1, g.n + 1):
-                if not isinstance(solve(g, caps, m), Found):
+                if not isinstance(solve(g, caps, m), Forest):
                     continue
                 for _ in range(100):
                     subset = {

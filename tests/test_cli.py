@@ -271,10 +271,10 @@ class TestOracleCommand:
         assert info.value.code == 2
 
     def test_disagreement_exits_three(self, path_file, capsys, monkeypatch):
-        from capforest import Forest, Found
+        from capforest import Forest
 
         def broken(g, caps, components):
-            return Found(Forest(g))
+            return Forest(g)
 
         monkeypatch.setattr(cli, "solve", broken)
         assert cli.main(["oracle", path_file, "-m", "1"]) == 3
@@ -292,7 +292,7 @@ def test_zero_vertices_is_one_input_error(tmp_path, capsys, command, m):
     assert captured.err == "error: component count is undefined on zero vertices\n"
 
 
-# Impossible instances and their `solve -m 1 --json` bytes, frozen from the
+# Unsolvable instances and their `solve -m 1 --json` bytes, frozen from the
 # solver that peeled a maximum forest; the violating set read off the final
 # search must match them byte for byte.
 IMPOSSIBLE_GOLDEN = [
@@ -604,10 +604,10 @@ class TestSweepCommand:
     def test_corrupted_solver_is_caught(self, monkeypatch):
         # negative control: a solver that always claims success must trip
         # the agreement law
-        from capforest import Forest, Found
+        from capforest import Forest
 
         def broken(g, caps, components):
-            return Found(Forest(g))
+            return Forest(g)
 
         monkeypatch.setattr(sweeps, "solve", broken)
         report = sweeps.run_oracle_agreement(20, 5)

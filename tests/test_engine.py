@@ -6,10 +6,9 @@ import helpers
 from capforest import (
     CapacityMap,
     ColoredGraph,
+    Certificate,
     Forest,
-    Found,
     GenSpec,
-    Impossible,
     InternalSolverError,
     MissingCapacityError,
     PreconditionError,
@@ -194,7 +193,7 @@ class TestForestMaximumCheck:
         g = ColoredGraph(5, [(0, 1, "a"), (2, 3, "a"), (1, 2, "b"), (0, 2, "c")])
         caps = CapacityMap.uniform(1)
         assert maximize_forest(g, caps).members == (1, 2, 3)
-        assert isinstance(solve(g, caps, 1), Impossible)
+        assert isinstance(solve(g, caps, 1), Certificate)
         monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", give_up)
         with pytest.raises(InternalSolverError) as info:
             solve(g, caps, 1)
@@ -255,17 +254,17 @@ class TestWarmStart:
         g = ColoredGraph(1)
         assert maximize_forest(g, CapacityMap.uniform(1)).members == ()
         verdict = solve(g, CapacityMap.uniform(1), 1)
-        assert isinstance(verdict, Found) and verdict.forest.size == 0
+        assert isinstance(verdict, Forest) and verdict.size == 0
 
     def test_edgeless_graph(self):
         g = ColoredGraph(4)
         caps = CapacityMap.uniform(1)
         assert maximize_forest(g, caps).members == ()
-        assert isinstance(solve(g, caps, 4), Found)
+        assert isinstance(solve(g, caps, 4), Forest)
         verdict = solve(g, caps, 1)
-        assert isinstance(verdict, Impossible)
-        assert verdict.certificate.violating == set()
-        assert verdict.certificate.omega_measured == 4
+        assert isinstance(verdict, Certificate)
+        assert verdict.violating == set()
+        assert verdict.omega_measured == 4
 
 
 class TestExchangeArcs:
@@ -351,27 +350,27 @@ class TestPrune:
 class TestSolve:
     def test_triangle_has_all_distinct_spanning_tree(self):
         verdict = solve(triangle(), CapacityMap.uniform(1), 1)
-        assert isinstance(verdict, Found)
-        forest = verdict.forest
+        assert isinstance(verdict, Forest)
+        forest = verdict
         assert forest.num_components == 1 and forest.size == 2
         assert len(forest.color_counts()) == 2
 
     def test_one_color_path_is_impossible(self):
         verdict = solve(path_aa(), CapacityMap({"a": 1}), 1)
-        assert isinstance(verdict, Impossible)
-        cert = verdict.certificate
+        assert isinstance(verdict, Certificate)
+        cert = verdict
         assert cert.violating == {"a"}
         assert cert.omega_measured == 3 and cert.bound == 2
 
     def test_square_two_components_one_edge_each_color(self):
         verdict = solve(square_aabb(), CapacityMap.uniform(1), 2)
-        assert isinstance(verdict, Found)
-        assert verdict.forest.color_counts() == {"a": 1, "b": 1}
+        assert isinstance(verdict, Forest)
+        assert verdict.color_counts() == {"a": 1, "b": 1}
 
     def test_target_equal_to_order_gives_empty_forest(self):
         verdict = solve(triangle(), CapacityMap.uniform(0), 3)
-        assert isinstance(verdict, Found)
-        assert verdict.forest.size == 0
+        assert isinstance(verdict, Forest)
+        assert verdict.size == 0
 
     def test_target_out_of_range(self):
         with pytest.raises(PreconditionError):
@@ -385,7 +384,7 @@ class TestSolve:
             g, caps = sample_solver_instance(rng)
             found_somewhere = False
             for m in range(1, g.n + 1):
-                found = isinstance(solve(g, caps, m), Found)
+                found = isinstance(solve(g, caps, m), Forest)
                 assert not (found_somewhere and not found), f"mono-m:{index} m={m}"
                 found_somewhere = found_somewhere or found
 
@@ -397,8 +396,8 @@ class TestSolve:
                 {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(g.palette)}
             )
             for m in range(1, g.n + 1):
-                if isinstance(solve(g, caps, m), Found):
-                    assert isinstance(solve(g, bigger, m), Found), (
+                if isinstance(solve(g, caps, m), Forest):
+                    assert isinstance(solve(g, bigger, m), Forest), (
                         f"mono-f:{index} m={m}"
                     )
 
@@ -412,7 +411,7 @@ class TestSolve:
             if g.n == 0 or helpers.bfs_component_count(g.n, g.edges) != 1:
                 continue
             checked += 1
-            found = isinstance(solve(g, CapacityMap.uniform(1), 1), Found)
+            found = isinstance(solve(g, CapacityMap.uniform(1), 1), Forest)
             assert found == helpers.rainbow_tree_condition(g), f"rainbow:{index}"
         assert checked >= 30
 
@@ -426,7 +425,7 @@ class TestSolve:
             if g.n == 0 or helpers.bfs_component_count(g.n, g.edges) != 1:
                 continue
             checked += 1
-            found = isinstance(solve(g, CapacityMap.uniform(1), 1), Found)
+            found = isinstance(solve(g, CapacityMap.uniform(1), 1), Forest)
             assert found == helpers.rainbow_tree_partition_condition(g), (
                 f"partition:{index}"
             )
@@ -438,9 +437,9 @@ class TestSolve:
             g, caps = sample_solver_instance(rng)
             for m in range(1, g.n + 1):
                 verdict = solve(g, caps, m)
-                if not isinstance(verdict, Found):
+                if not isinstance(verdict, Forest):
                     continue
-                forest = verdict.forest
+                forest = verdict
                 assert forest.num_components == m
                 chosen = [g.edges[i] for i in forest.members]
                 assert helpers.is_acyclic(g.n, chosen)

@@ -4,7 +4,7 @@ import pytest
 
 from capforest import (
     CapacityMap,
-    Found,
+    Forest,
     PreconditionError,
     color_census,
     solve,
@@ -112,7 +112,7 @@ class TestFactorized:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_unit_budgets_always_admit_a_spanning_tree(self, n):
         g = generate(GenSpec(seed=7, n=n, model="complete_factorized"))
-        assert isinstance(solve(g, CapacityMap.uniform(1), 1), Found)
+        assert isinstance(solve(g, CapacityMap.uniform(1), 1), Forest)
 
 
 class TestColorings:

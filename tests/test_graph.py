@@ -257,6 +257,14 @@ class TestCapacityMap:
         with pytest.raises(MissingCapacityError, match="'a'"):
             CapacityMap({"c": 1}).total(["d", "c", "b", "a"])
 
+    @pytest.mark.parametrize("caps", [{"1": 1, 1: 2}, {1: 2, "1": 2}])
+    def test_two_keys_of_one_color_refused(self, caps):
+        # both keys become the color "1"; neither budget may silently win
+        with pytest.raises(PreconditionError) as info:
+            CapacityMap(caps)
+        assert type(info.value) is PreconditionError
+        assert str(info.value) == "duplicate capacity for color '1'"
+
 
 class TestForest:
     def test_edge_count_plus_components_is_n(self):

@@ -64,6 +64,19 @@ class TestComponentTarget:
         call(g, 1)
         call(g, g.n + offset)
 
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (_, offset) in ENTRY_POINTS.items() if offset)
+    )
+    @pytest.mark.parametrize("target", [1, 0, 2.0])
+    def test_one_vertex_allows_no_target_below_n(self, name, target):
+        # the range 1..n-1 is empty, so the message names no range
+        call, _ = ENTRY_POINTS[name]
+        with pytest.raises(PreconditionError) as info:
+            call(ColoredGraph(1), target)
+        assert type(info.value) is PreconditionError
+        message = f"no component count is allowed when n = 1, got {target}"
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("target", [1, 0, 2.0])
     def test_zero_vertices(self, name, target):

@@ -22,6 +22,7 @@ import pytest
 import capforest
 from capforest import CapacityMap, ColoredGraph, ColorDensity, DensityReport, GenSpec
 from capforest.bounds import density_sufficient
+from capforest.instance_io import Instance
 from capforest.sweeps import LawReport
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +44,6 @@ EXPORTS = {
         "oracle_forest_search",
     ],
     "engine": [
-        "Found",
-        "Impossible",
-        "SolveVerdict",
         "augment_step",
         "maximize_forest",
         "prune_to_components",
@@ -75,8 +73,8 @@ NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
 class TestLazyApi:
-    def test_all_lists_the_same_33_names(self):
-        assert len(NAMES) == 33
+    def test_all_lists_the_same_30_names(self):
+        assert len(NAMES) == 30
         assert capforest.__all__ == NAMES
 
     @pytest.mark.parametrize(
@@ -100,6 +98,36 @@ class TestLazyApi:
             capforest.no_such_name
         with pytest.raises(ImportError):
             from capforest import no_such_name  # noqa: F401
+
+    # solve returns the Forest or the Certificate itself; the wrappers are gone
+    @pytest.mark.parametrize("name", ["Found", "Impossible", "SolveVerdict"])
+    def test_removed_verdict_wrapper_is_gone(self, name):
+        engine = importlib.import_module("capforest.engine")
+        assert not hasattr(engine, name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(capforest, name)
+
+
+def readme_library_example() -> str:
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeLibraryUse:
+    def test_runs_verbatim(self, capsys):
+        exec(readme_library_example(), {})
+        assert capsys.readouterr().out == (
+            "[(0, Edge(u=0, v=1, color='red')), (2, Edge(u=2, v=3, color='blue'))]\n"
+        )
+
+    def test_certificate_branch(self, capsys):
+        # the same snippet with a spanning tree asked for, which needs three colors
+        example = readme_library_example()
+        asked = "CapacityMap.uniform(1), 2)"
+        assert asked in example
+        exec(example.replace(asked, "CapacityMap.uniform(1), 1)"), {})
+        assert capsys.readouterr().out == "['blue', 'red']\n"
 
 
 # Runs in a fresh interpreter: prints the modules loaded after start-up.
@@ -231,7 +259,15 @@ PLAIN_DATA = {
         "LawReport(name='bounded-complete', passed=5, failed=1, "
         "first_failing_key='0:bounded:3')",
     ),
+    "Instance": (
+        lambda: Instance(ColoredGraph(1), {"a": 1}, None),
+        lambda: Instance(graph=ColoredGraph(1), capacities={"a": 1}, default_capacity=None),
+        lambda: Instance(ColoredGraph(1), {"a": 1}, 0),
+        "Instance(graph=ColoredGraph(n=1, edges=(), palette=frozenset()), "
+        "capacities={'a': 1}, default_capacity=None)",
+    ),
 }
+UNHASHABLE = {"DensityReport", "Instance"}  # they hold a dict
 
 
 @pytest.fixture(params=sorted(PLAIN_DATA))
@@ -255,7 +291,7 @@ class TestPlainData:
 
     def test_equal_values_hash_alike(self, plain):
         name, build, build_by_keyword, _, _ = plain
-        if name == "DensityReport":  # it holds a dict
+        if name in UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(build())
         else:

@@ -1,18 +1,21 @@
-"""The seven records a ``solve`` builds behave as frozen value types.
+"""The four records, the types that validate, behave as frozen value types.
 
-Each compares equal by type and fields, hashes alike when equal (the two
-that hold a dict are unhashable), refuses assignment and deletion with an
+Each compares equal by type and fields, hashes alike when equal (the one
+that holds a dict is unhashable), refuses assignment and deletion with an
 ``AttributeError``, prints as ``Type(field=value, ...)``, takes its fields
 by position or keyword, and survives ``copy`` and ``pickle``.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
-from capforest import CapacityMap, Certificate, ColoredGraph, Forest, Found, Impossible
-from capforest.instance_io import Instance
+import capforest
+from capforest import CapacityMap, Certificate, ColoredGraph, Forest
+from capforest.graph import Record
 
 GRAPH_REPR = (
     "ColoredGraph(n=3, edges=(Edge(u=0, v=1, color='a'), Edge(u=1, v=2, color='a')), "
@@ -55,32 +58,22 @@ RECORDS = {
         lambda: Forest(graph(), (1,)),
         FOREST_REPR,
     ),
-    "Found": (
-        lambda: Found(forest()),
-        lambda: Found(forest=forest()),
-        lambda: Found(Forest(graph())),
-        f"Found(forest={FOREST_REPR})",
-    ),
     "Certificate": (
         certificate,
         lambda: Certificate(violating={"a"}, omega_measured=3, bound=2),
         lambda: Certificate(frozenset(), 3, 2),
         CERTIFICATE_REPR,
     ),
-    "Impossible": (
-        lambda: Impossible(certificate()),
-        lambda: Impossible(certificate=certificate()),
-        lambda: Impossible(Certificate(frozenset(), 3, 2)),
-        f"Impossible(certificate={CERTIFICATE_REPR})",
-    ),
-    "Instance": (
-        lambda: Instance(graph(), {"a": 1}, None),
-        lambda: Instance(graph=graph(), capacities={"a": 1}, default_capacity=None),
-        lambda: Instance(graph(), {"a": 1}, 0),
-        f"Instance(graph={GRAPH_REPR}, capacities={{'a': 1}}, default_capacity=None)",
-    ),
 }
-UNHASHABLE = {"CapacityMap", "Instance"}  # they hold a dict
+UNHASHABLE = {"CapacityMap"}  # it holds a dict
+
+
+def test_every_record_is_listed_here():
+    # plain data are NamedTuples, so every Record subclass validates its fields
+    for module in pkgutil.iter_modules(capforest.__path__):
+        if not module.name.startswith("_"):
+            importlib.import_module(f"capforest.{module.name}")
+    assert sorted(cls.__name__ for cls in Record.__subclasses__()) == sorted(RECORDS)
 
 
 @pytest.fixture(params=sorted(RECORDS))

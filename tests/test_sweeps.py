@@ -8,7 +8,7 @@ exit code of a ``sweep`` that hits a solver bug.
 
 import pytest
 
-from capforest import Forest, Found, cli, sweeps
+from capforest import Forest, cli, sweeps
 from capforest.errors import InternalSolverError
 
 
@@ -45,7 +45,7 @@ def rig_solver(monkeypatch, failing):
         verdict = real_solve(g, caps, components)
         if current["index"] not in failing:
             return verdict
-        return None if isinstance(verdict, Found) else Found(Forest(g))
+        return None if isinstance(verdict, Forest) else Forest(g)
 
     monkeypatch.setattr(sweeps, "solve", solve)
 

@@ -49,7 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # into canonical verdicts. JSON in on stdin, JSON out on stdout.
 CHILD = r"""
 import json, random, sys
-from capforest import CapacityMap, ColoredGraph, Found, GenSpec, generate, maximize_forest, solve
+from capforest import CapacityMap, ColoredGraph, Forest, GenSpec, generate, maximize_forest, solve
 from capforest.engine import ExchangeGraph
 from capforest.sweeps import sample_solver_instance
 
@@ -95,10 +95,11 @@ def canonical(g, caps, m):
         verdict = solve(g, caps, m)
     except Exception as exc:
         return ["error", type(exc).__name__, str(exc)]
-    if isinstance(verdict, Found):
-        return ["found", list(verdict.forest.members)]
-    cert = verdict.certificate
-    return ["impossible", cert.sorted_colors(), cert.omega_measured, cert.bound]
+    # older trees wrap the result in a record with a .forest or .certificate
+    verdict = getattr(verdict, "forest", getattr(verdict, "certificate", verdict))
+    if isinstance(verdict, Forest):
+        return ["found", list(verdict.members)]
+    return ["impossible", verdict.sorted_colors(), verdict.omega_measured, verdict.bound]
 
 
 def paths(g, caps):
