@@ -50,7 +50,7 @@ def max_edges_for_components(n: int, s: int) -> int:
 
 def complete_graph_threshold(n: int, components: int) -> Fraction:
     """Per-unit-capacity color bound for complete graphs: n(n-1)/(2(n-m))."""
-    check_component_target(n, components, n - 1)
+    check_component_target(n, components, below_n=True)
     return Fraction(n * (n - 1), 2 * (n - components))
 
 
@@ -67,7 +67,7 @@ def density_sufficient(
     has at most ``components`` components.
     """
     n = g.n
-    check_component_target(n, components, n - 1)
+    check_component_target(n, components, below_n=True)
     edge_count = len(g.edges)
     threshold = max_edges_for_components(n, components + 1)
     ratio = Fraction(edge_count, n - components)

@@ -13,8 +13,8 @@ target component count. The other two compute, once per instance, the two
 sides of Edmonds' min-max equality, from which the verdict at every target
 follows: :func:`oracle_fewest_components` from the color sets, and
 :func:`oracle_forest_search` as a largest forest. Both color-set oracles
-read one enumeration of the color subsets, and every component count and
-cycle test here is a :class:`~capforest.graph.DisjointSet`.
+read one enumeration of the color subsets, and every component count here
+is :func:`~capforest.graph.component_count`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .graph import (
     Record,
     check_component_target,
     color_set,
+    component_count,
 )
 
 if TYPE_CHECKING:
@@ -41,12 +42,21 @@ ORACLE_MAX_PALETTE = 16
 ORACLE_MAX_EDGES = 20
 
 
-def _components_without(g: ColoredGraph, colors: set[str]) -> int:
-    dsu = DisjointSet(g.n)
-    for u, v, color in g.edges:
-        if color not in colors:
-            dsu.union(u, v)
-    return dsu.components
+def check_palette_limit(g: ColoredGraph) -> None:
+    """Refuse a palette beyond ``ORACLE_MAX_PALETTE`` colors."""
+    if len(g.palette) > ORACLE_MAX_PALETTE:
+        raise OracleLimitError(
+            f"palette of {len(g.palette)} colors exceeds the oracle limit "
+            f"of {ORACLE_MAX_PALETTE}"
+        )
+
+
+def check_edge_limit(g: ColoredGraph) -> None:
+    """Refuse a graph beyond ``ORACLE_MAX_EDGES`` edges."""
+    if len(g.edges) > ORACLE_MAX_EDGES:
+        raise OracleLimitError(
+            f"{len(g.edges)} edges exceed the search limit of {ORACLE_MAX_EDGES}"
+        )
 
 
 def evaluate_condition(
@@ -60,7 +70,7 @@ def evaluate_condition(
     """
     colors = color_set(colors)
     check_component_target(g.n, components)
-    return _components_without(g, colors), components + caps.total(colors)
+    return component_count(g, colors), components + caps.total(colors)
 
 
 class Certificate(Record):
@@ -143,16 +153,12 @@ def _color_sets(
     beyond ``ORACLE_MAX_PALETTE`` colors are refused at the call, before
     anything is yielded.
     """
-    if len(g.palette) > ORACLE_MAX_PALETTE:
-        raise OracleLimitError(
-            f"palette of {len(g.palette)} colors exceeds the oracle limit "
-            f"of {ORACLE_MAX_PALETTE}"
-        )
+    check_palette_limit(g)
     prefix: list[str] = []
 
     def rec(start: int) -> Iterator[tuple[tuple[str, ...], int, int]]:
         subset = tuple(prefix)
-        yield subset, _components_without(g, set(subset)), caps.total(subset)
+        yield subset, component_count(g, subset), caps.total(subset)
         for i in range(start, len(colors)):
             prefix.append(colors[i])
             yield from rec(i + 1)
@@ -206,12 +212,9 @@ def oracle_forest_search(g: ColoredGraph, caps: CapacityMap) -> Forest:
     solver.
     Graphs beyond ``ORACLE_MAX_EDGES`` edges are refused.
     """
+    check_edge_limit(g)
     edges = g.edges
     total = len(edges)
-    if total > ORACLE_MAX_EDGES:
-        raise OracleLimitError(
-            f"{total} edges exceed the search limit of {ORACLE_MAX_EDGES}"
-        )
     target = g.n - 1
     counts: dict[str, int] = {}
     chosen: list[int] = []

@@ -135,11 +135,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .certificates import oracle_condition, oracle_forest_search
+    from .certificates import (
+        check_edge_limit,
+        check_palette_limit,
+        oracle_condition,
+        oracle_forest_search,
+    )
 
     instance = _load_instance(args.instance)
     caps = _load_capacities(args, instance)
     g, m = instance.graph, args.components
+    # both oracles' limits before the solver runs, so a refusal comes at once
+    check_palette_limit(g)
+    check_edge_limit(g)
     verdict = solve(g, caps, m)
     cert = oracle_condition(g, caps, m)
     forest_found = g.n - oracle_forest_search(g, caps).size <= m
@@ -188,7 +196,7 @@ def cmd_gen(args) -> int:
 def cmd_sweep(args) -> int:
     from . import sweeps
 
-    reports = sweeps.run_all(args.count, args.seed, max_n=args.max_n)
+    reports = sweeps.run_all(args.count, args.seed)
     for report in reports:
         total = report.passed + report.failed
         print(f"{report.name}: {report.passed}/{total} passed")
@@ -258,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the randomized law sweeps")
     p_sweep.add_argument("--count", type=int, default=100, help="instances per law")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--max-n", type=int, default=7)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

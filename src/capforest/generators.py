@@ -12,7 +12,7 @@ import random
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .graph import ColoredGraph
+from .graph import ColoredGraph, check_vertex_count
 
 # Every model visits all n(n-1)/2 vertex pairs; 2000 vertices is about two
 # million pairs, which ``complete`` holds in memory at once.
@@ -95,8 +95,7 @@ def generate(spec: GenSpec) -> ColoredGraph:
     which may exceed the colors actually present. Specs with more than
     ``MAX_VERTICES`` vertices are refused before anything is allocated.
     """
-    if spec.n < 0:
-        raise PreconditionError("vertex count must be non-negative")
+    check_vertex_count(spec.n)
     if spec.n > MAX_VERTICES:
         raise PreconditionError(
             f"vertex count {spec.n} exceeds the generator limit of {MAX_VERTICES}"

@@ -11,7 +11,7 @@ created per call, and :class:`DisjointSet` is the package's only union-find.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from typing import NamedTuple
 
 from .errors import (
@@ -109,12 +109,25 @@ class DisjointSet:
         self.components += 1
 
 
-def check_component_target(n: int, m: int, top: int | None = None) -> None:
-    """Refuse a target ``m`` that is not exactly an ``int`` in ``1..top`` (default
-    ``n``); on zero vertices every target is an :class:`EmptyGraphError`."""
+def check_vertex_count(n: int, error: type = PreconditionError) -> None:
+    """Refuse, as ``error``, a vertex count that is not a non-negative ``int``."""
+    # exact type test: rejects floats and bools, as for vertex ids
+    if type(n) is not int:
+        raise error(f"vertex count must be an integer, got {n!r}")
+    if n < 0:
+        raise error("vertex count must be non-negative")
+
+
+_NO_VERTICES = "component count is undefined on zero vertices"
+
+
+def check_component_target(n: int, m: int, below_n: bool = False) -> None:
+    """Refuse a target ``m`` that is not exactly an ``int`` in ``1..n`` (``1..n-1``
+    when ``below_n``); on zero vertices every target is an :class:`EmptyGraphError`."""
+    check_vertex_count(n)
     if n == 0:
-        raise EmptyGraphError("component count is undefined on zero vertices")
-    top = n if top is None else top
+        raise EmptyGraphError(_NO_VERTICES)
+    top = n - 1 if below_n else n
     if type(m) is not int or not 1 <= m <= top:
         if top < 1:  # ``1..n-1`` on one vertex
             raise PreconditionError(f"no component count is allowed when n = {n}, got {m}")
@@ -163,11 +176,7 @@ class ColoredGraph(Record):
 
     def __post_init__(self):
         n = self.n
-        # exact type test: rejects floats and bools, as for vertex ids below
-        if type(n) is not int:
-            raise GraphConstructionError(f"vertex count must be an integer, got {n!r}")
-        if n < 0:
-            raise GraphConstructionError("vertex count must be non-negative")
+        check_vertex_count(n, GraphConstructionError)
         declared = color_set(self.palette, "palette", GraphConstructionError)
         try:
             # tuple.__new__ runs no Python frame per edge, unlike Edge(...)
@@ -318,12 +327,14 @@ class Forest(Record):
         return dict(Counter(self.host.edges[i].color for i in self.members))
 
 
-def component_count(g: ColoredGraph) -> int:
-    """Number of connected components, by union-find over the edge list."""
-    check_component_target(g.n, 1)  # refuses zero vertices, as every target does
+def component_count(g: ColoredGraph, without: Container[str] = frozenset()) -> int:
+    """Components left once the edges colored in ``without`` are deleted."""
+    if g.n == 0:
+        raise EmptyGraphError(_NO_VERTICES)
     dsu = DisjointSet(g.n)
-    for e in g.edges:
-        dsu.union(e.u, e.v)
+    for u, v, color in g.edges:
+        if color not in without:
+            dsu.union(u, v)
     return dsu.components
 
 

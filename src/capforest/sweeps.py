@@ -29,7 +29,7 @@ from .bounds import complete_graph_threshold, density_sufficient
 from .certificates import oracle_fewest_components, oracle_forest_search
 from .engine import solve
 from .errors import InternalSolverError, PreconditionError
-from .generators import MAX_VERTICES, GenSpec, generate
+from .generators import GenSpec, generate
 from .graph import CapacityMap, ColoredGraph, Forest, color_census
 
 
@@ -63,9 +63,8 @@ def sample_solver_instance(
     max_n: int = 7,
     max_edges: int = 14,
     max_palette: int = 5,
-    max_cap: int = 3,
 ) -> tuple[ColoredGraph, CapacityMap]:
-    """Random small instance: graph plus a random capacity map over its palette."""
+    """Random small instance: graph plus capacities 0-3 over its palette."""
     n = rng.randint(1, max_n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
@@ -73,11 +72,11 @@ def sample_solver_instance(
     palette = [f"c{j}" for j in range(rng.randint(1, max_palette))]
     edges = [(u, v, palette[rng.randrange(len(palette))]) for u, v in sorted(pairs[:count])]
     g = ColoredGraph(n, tuple(edges), palette=frozenset(palette))
-    caps = CapacityMap({c: rng.randint(0, max_cap) for c in palette})
+    caps = CapacityMap({c: rng.randint(0, 3) for c in palette})
     return g, caps
 
 
-def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
+def run_oracle_agreement(count: int, seed: int) -> LawReport:
     """Solver vs. both once-per-instance oracles, at every ``m`` in ``1..n``.
 
     A forest with ``m`` components exists exactly when the fewest
@@ -87,7 +86,7 @@ def run_oracle_agreement(count: int, seed: int, *, max_n: int = 7) -> LawReport:
     failing = []
     for index in range(count):
         rng, key = _instance_rng(seed, "agreement", index)
-        g, caps = sample_solver_instance(rng, max_n=max_n)
+        g, caps = sample_solver_instance(rng)
         fewest = oracle_fewest_components(g, caps)
         smallest = g.n - oracle_forest_search(g, caps).size
         if not all(
@@ -175,23 +174,17 @@ def run_bounded_complete(count: int, seed: int) -> LawReport:
     return _report("bounded-complete", count, failing)
 
 
-def run_all(count: int, seed: int, *, max_n: int = 7) -> list[LawReport]:
+def run_all(count: int, seed: int) -> list[LawReport]:
     """The reports of all three laws, in law order, on ``count`` instances each.
 
-    ``count`` must be non-negative, and ``max_n`` must lie in
-    ``1..MAX_VERTICES``: the sampler lists every vertex pair of each
-    instance, as the generators do. Both are checked before any law runs.
+    ``count`` must be non-negative, which is checked before any law runs.
     The laws then run one after another in this process, and an exception
     raised by one ends the sweep there.
     """
     if count < 0:
         raise PreconditionError(f"instance count must be non-negative, got {count}")
-    if not 1 <= max_n <= MAX_VERTICES:
-        raise PreconditionError(
-            f"max_n must be in 1..{MAX_VERTICES}, got {max_n}"
-        )
     return [
-        run_oracle_agreement(count, seed, max_n=max_n),
+        run_oracle_agreement(count, seed),
         run_density_guarantee(count, seed),
         run_bounded_complete(count, seed),
     ]

@@ -43,9 +43,7 @@ def solved_corpus():
     corpus = []
     for index in range(AGREEMENT_COUNT):
         rng = random.Random(f"{SEED}:agreement:{index}")
-        g, caps = sample_solver_instance(
-            rng, max_n=7, max_edges=14, max_palette=5, max_cap=3
-        )
+        g, caps = sample_solver_instance(rng, max_n=7, max_edges=14, max_palette=5)
         verdicts = {m: solve(g, caps, m) for m in range(1, g.n + 1)}
         corpus.append((f"{SEED}:agreement:{index}", g, caps, verdicts))
     return corpus

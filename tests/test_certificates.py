@@ -251,6 +251,11 @@ class TestOncePerInstanceOracles:
         assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
         assert oracle_forest_search(g, CapacityMap.uniform(1)).size == 0
 
+    def test_zero_vertices(self):
+        with pytest.raises(EmptyGraphError) as info:
+            oracle_fewest_components(ColoredGraph(0), CapacityMap.uniform(1))
+        assert str(info.value) == "component count is undefined on zero vertices"
+
     def test_no_edges(self):
         g = ColoredGraph(4)
         assert oracle_fewest_components(g, CapacityMap()) == 4

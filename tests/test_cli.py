@@ -264,6 +264,30 @@ class TestOracleCommand:
         assert cli.main(["oracle", str(path), "-m", "1"]) == 2
         assert capsys.readouterr().err == "error: 21 edges exceed the search limit of 20\n"
 
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            # one color per edge of K7: 21 colors, so the palette limit first
+            (21, "palette of 21 colors exceeds the oracle limit of 16"),
+            (3, "21 edges exceed the search limit of 20"),
+        ],
+    )
+    def test_limits_are_checked_before_solving(
+        self, tmp_path, capsys, monkeypatch, colors, message
+    ):
+        def no_solve(*_):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        edges = [f"e {u} {v} c{i % colors}\n" for i, (u, v) in enumerate(pairs)]
+        path = tmp_path / "k7.txt"
+        path.write_text("graph 7\nfdefault 1\n" + "".join(edges))
+        assert cli.main(["oracle", str(path), "-m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--max-palette", "--max-edges"])
     def test_limits_are_not_options(self, path_file, capsys, flag):
         with pytest.raises(SystemExit) as info:
@@ -386,6 +410,14 @@ GOLDEN_AT_SCALE = {
         "fdefault 1\n" + "".join(f"f c{j} {1 + j % 3}\n" for j in range(8)), 1, 1,
         "d963bbd0ebb781d13a8422bff5ab9c26d24f3206dcadb99f35e76535219b0721",
     ),
+    # impossible k-bounded G(400, 0.05): 3945 edges on 60 colors of at most
+    # 80 edges; the one search finds no path, after reaching all 60 colors
+    # layer by layer, so all 60 violate
+    "many-layer-400": (
+        ("--n", "400", "--p", "0.05", "--colors", "60", "--k", "80", "--seed", "3"),
+        "fdefault 5\n", 1, 1,
+        "f67653194dca1dda29ba5da2b122b3bb3da86bc33376f4c978597a17b87d01c8",
+    ),
 }
 
 
@@ -401,6 +433,8 @@ class TestSolveGoldenAtScale:
             ("impossible-300", "4242"),
             ("impossible-fewcolor-400", "0"),
             ("impossible-fewcolor-400", "4242"),
+            ("many-layer-400", "0"),
+            ("many-layer-400", "4242"),
         ],
     )
     def test_solve_json_bytes(self, tmp_path, name, hash_seed):
@@ -585,9 +619,6 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--max-n", "0"], "max_n must be in 1..2000, got 0"),
-            (["--max-n", "-3"], "max_n must be in 1..2000, got -3"),
-            (["--max-n", "2001"], "max_n must be in 1..2000, got 2001"),
             (["--count", "-1"], "instance count must be non-negative, got -1"),
         ],
     )
@@ -615,7 +646,7 @@ class TestSweepCommand:
         assert report.first_failing_key is not None
 
     def test_cli_reports_violations_with_exit_three(self, capsys, monkeypatch):
-        def rigged(count, seed, max_n=7):
+        def rigged(count, seed):
             return [sweeps.LawReport("oracle-agreement", 0, 1, f"{seed}:agreement:0")]
 
         monkeypatch.setattr(sweeps, "run_all", rigged)

@@ -89,7 +89,7 @@ def base_argv(rng, inst, caps, tmp_path, n):
                 argv += ["--k", str(rng.randint(0, 6))]
         out = rng.choice([None, tmp_path / "gen.txt", tmp_path, tmp_path / "no" / "x"])
         return argv + ([] if out is None else ["--out", str(out)])
-    return ["sweep", "--count", str(rng.randint(0, 2)), "--seed", m, "--max-n", m]
+    return ["sweep", "--count", str(rng.randint(0, 2)), "--seed", m]
 
 
 def mutate_argv(rng, argv, paths):

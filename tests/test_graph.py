@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from capforest import (
     oracle_condition,
 )
 from capforest.graph import DisjointSet
+from capforest.sweeps import sample_solver_instance
 
 PALETTE = ("a", "b", "c", "d")
 
@@ -215,6 +218,18 @@ class TestComponentCount:
         with pytest.raises(EmptyGraphError) as info:
             component_count(ColoredGraph(0))
         assert str(info.value) == "component count is undefined on zero vertices"
+
+    def test_matches_breadth_first_count_without_colors(self):
+        # "absent" and "c9" are never in a sampled palette (c0..c4)
+        for index in range(200):
+            rng = random.Random(f"without:{index}")
+            g, _ = sample_solver_instance(rng)
+            assert component_count(g) == helpers.bfs_component_count(g.n, g.edges)
+            candidates = [*sorted(g.palette), "absent", "c9"]
+            for _ in range(5):
+                without = {c for c in candidates if rng.random() < 0.4}
+                expected = helpers.components_without_colors(g, without)
+                assert component_count(g, without) == expected, (index, without)
 
 
 class TestColorCensus:

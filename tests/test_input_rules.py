@@ -1,6 +1,6 @@
 """Each input rule is checked by one function, so every entry point that
-takes a component target, a color set or a capacity refuses the same values
-with the same message."""
+takes a vertex count, a component target, a color set or a capacity refuses
+the same values with the same message."""
 
 import pytest
 
@@ -10,10 +10,13 @@ from capforest import (
     ColoredGraph,
     EmptyGraphError,
     Forest,
+    GenSpec,
+    GraphConstructionError,
     PreconditionError,
     complete_graph_threshold,
     density_sufficient,
     evaluate_condition,
+    generate,
     max_edges_for_components,
     oracle_condition,
     prune_to_components,
@@ -41,6 +44,49 @@ ENTRY_POINTS = {
 
 def red_blue_path() -> ColoredGraph:
     return ColoredGraph(3, [(0, 1, "red"), (1, 2, "blue")])
+
+
+# name -> (call with a vertex count, the error type it refuses a bad one with)
+VERTEX_COUNT_ENTRY_POINTS = {
+    "ColoredGraph": (ColoredGraph, GraphConstructionError),
+    "generate": (
+        lambda n: generate(GenSpec(0, n, p=0.5, palette_size=2)),
+        PreconditionError,
+    ),
+    "max_edges_for_components": (
+        lambda n: max_edges_for_components(n, 1),
+        PreconditionError,
+    ),
+    "complete_graph_threshold": (
+        lambda n: complete_graph_threshold(n, 1),
+        PreconditionError,
+    ),
+}
+
+
+class TestVertexCount:
+    @pytest.mark.parametrize("name", sorted(VERTEX_COUNT_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [2.5, True, "5", None])
+    def test_non_integer_refused(self, name, bad):
+        call, error = VERTEX_COUNT_ENTRY_POINTS[name]
+        with pytest.raises(error) as info:
+            call(bad)
+        assert type(info.value) is error
+        assert str(info.value) == f"vertex count must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("name", sorted(VERTEX_COUNT_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [-1, -3])
+    def test_negative_refused(self, name, bad):
+        call, error = VERTEX_COUNT_ENTRY_POINTS[name]
+        with pytest.raises(error) as info:
+            call(bad)
+        assert type(info.value) is error
+        assert str(info.value) == "vertex count must be non-negative"
+
+    @pytest.mark.parametrize("name", sorted(VERTEX_COUNT_ENTRY_POINTS))
+    def test_two_vertices_accepted(self, name):
+        call, _ = VERTEX_COUNT_ENTRY_POINTS[name]
+        call(2)
 
 
 class TestComponentTarget:

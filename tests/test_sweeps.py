@@ -12,9 +12,9 @@ from capforest import Forest, cli, sweeps
 from capforest.errors import InternalSolverError
 
 
-def sequential(count, seed, max_n=7):
+def sequential(count, seed):
     return [
-        sweeps.run_oracle_agreement(count, seed, max_n=max_n),
+        sweeps.run_oracle_agreement(count, seed),
         sweeps.run_density_guarantee(count, seed),
         sweeps.run_bounded_complete(count, seed),
     ]
@@ -59,11 +59,10 @@ class TestParallelEqualsSequential:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
     @pytest.mark.parametrize("seed", [0, 5, 11])
-    @pytest.mark.parametrize("max_n", [4, 7])
-    def test_reports_match(self, count, seed, max_n):
-        expected = sequential(count, seed, max_n)
+    def test_reports_match(self, count, seed):
+        expected = sequential(count, seed)
         assert [r.passed for r in expected] == [count] * 3
-        assert sweeps.run_all(count, seed, max_n=max_n) == expected
+        assert sweeps.run_all(count, seed) == expected
 
     @pytest.mark.parametrize(
         "failing",
