@@ -74,8 +74,7 @@ def density_sufficient(
     census = color_census(g)
     per_color: dict[str, ColorDensity] = {}
     all_ok = True
-    for color in g.sorted_palette():
-        observed = census.get(color, 0)
+    for color, observed in sorted(census.items()):
         cap = caps.cap(color)
         # cross-multiplied form of observed <= cap * edge_count / (n - m)
         ok = observed * (n - components) <= edge_count * cap

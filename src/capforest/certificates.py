@@ -19,7 +19,7 @@ is :func:`~capforest.graph.component_count`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, OracleLimitError, PreconditionError
@@ -143,17 +143,18 @@ def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
 
 
 def _color_sets(
-    g: ColoredGraph, caps: CapacityMap, colors: Sequence[str]
+    g: ColoredGraph, caps: CapacityMap
 ) -> Iterator[tuple[tuple[str, ...], int, int]]:
-    """Every subset ``R`` of ``colors``, with ``omega(G - E_R)`` and ``f(R)``.
+    """Every subset ``R`` of the palette, with ``omega(G - E_R)`` and ``f(R)``.
 
     Yields ``(R, components left after deleting R's edges, R's capacity
-    total)`` in lexicographic order over sorted ``colors``: ``()``,
+    total)`` in lexicographic order over the sorted palette: ``()``,
     ``(a,)``, ``(a, b)``, ``(a, b, c)``, ``(a, c)``, ``(b,)``, ... Palettes
     beyond ``ORACLE_MAX_PALETTE`` colors are refused at the call, before
     anything is yielded.
     """
     check_palette_limit(g)
+    colors = g.sorted_palette()
     prefix: list[str] = []
 
     def rec(start: int) -> Iterator[tuple[tuple[str, ...], int, int]]:
@@ -177,7 +178,7 @@ def oracle_condition(
     inequality holds everywhere. Palettes beyond ``ORACLE_MAX_PALETTE``
     colors are refused before the component count is checked.
     """
-    color_sets = _color_sets(g, caps, sorted(g.palette))  # palette limit first
+    color_sets = _color_sets(g, caps)  # palette limit first
     check_component_target(g.n, components)
     for subset, remaining, spent in color_sets:
         if remaining > components + spent:
@@ -192,12 +193,10 @@ def oracle_fewest_components(g: ColoredGraph, caps: CapacityMap) -> int:
     after deleting ``R``'s edges minus ``R``'s capacity total. By Edmonds'
     matroid intersection theorem this is the fewest components a forest
     can have, so a forest with ``m`` components exists exactly when the
-    result is at most ``m``. Only colors that occur on edges are put in
-    ``R``: another color deletes nothing and costs its capacity. Palettes
-    beyond ``ORACLE_MAX_PALETTE`` colors are refused.
+    result is at most ``m``. Palettes beyond ``ORACLE_MAX_PALETTE`` colors
+    are refused.
     """
-    colors = sorted({e.color for e in g.edges})
-    return max(left - spent for _, left, spent in _color_sets(g, caps, colors))
+    return max(left - spent for _, left, spent in _color_sets(g, caps))
 
 
 def oracle_forest_search(g: ColoredGraph, caps: CapacityMap) -> Forest:

@@ -3,8 +3,9 @@
 Exit codes (stable contract): ``0`` solution found / inequality holds /
 oracles agree / sweep clean; ``1`` no solution exists (a verdict, not an
 error); ``2`` bad input, including files that are not UTF-8; ``3``
-internal disagreement between solver and oracles, a failed sweep, or an
-:class:`InternalSolverError` (bug indicators), or running out of memory.
+internal disagreement between solver and oracles, a failed sweep, an
+:class:`InternalSolverError` or any other unexpected exception (bug
+indicators), or running out of memory.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def cmd_certify(args) -> int:
 
     instance = _load_instance(args.instance)
     caps = _load_capacities(args, instance)
-    unknown = [c for c in args.colors if c not in instance.graph.palette]
+    palette = instance.graph.palette
+    unknown = [c for c in args.colors if c not in palette]
     if unknown:
         raise CapforestError(f"unknown colors: {' '.join(sorted(unknown))}")
     colors = set(args.colors)
@@ -285,6 +287,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CapforestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # any other exception is a bug, never the "impossible" verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ from .graph import ColoredGraph, check_vertex_count
 # Every model visits all n(n-1)/2 vertex pairs; 2000 vertices is about two
 # million pairs, which ``complete`` holds in memory at once.
 MAX_VERTICES = 2000
-# A palette holds one name per color, and a k-bounded pool one per slot;
-# past the most edges a graph can have, more only fills memory.
+# A k-bounded pool holds one name per slot; past the most edges a graph
+# can have, more only fills memory. A uniform palette has the same bound.
 MAX_COLOR_SLOTS = MAX_VERTICES * (MAX_VERTICES - 1) // 2
 
 
@@ -43,7 +43,7 @@ class GenSpec(NamedTuple):
     k: int | None = None
 
 
-def _color_pool(spec: GenSpec, rng: random.Random, count: int):
+def _color_pool(spec: GenSpec, rng: random.Random, count: int) -> list[str]:
     size, k = spec.palette_size, spec.k
     coloring = "uniform" if k is None else "k_bounded"
     if size is None or size < 1:
@@ -53,9 +53,8 @@ def _color_pool(spec: GenSpec, rng: random.Random, count: int):
         raise PreconditionError(
             f"{coloring} coloring needs at most {MAX_COLOR_SLOTS} color slots, got {slots}"
         )
-    palette = frozenset(f"c{j}" for j in range(size))
     if k is None:
-        return [f"c{rng.randrange(size)}" for _ in range(count)], palette
+        return [f"c{rng.randrange(size)}" for _ in range(count)]
     if k < 0:
         raise PreconditionError("k_bounded coloring needs k >= 0")
     slots = [f"c{j}" for j in range(size) for _ in range(k)]
@@ -65,7 +64,7 @@ def _color_pool(spec: GenSpec, rng: random.Random, count: int):
             f"with at most {k} edges each"
         )
     rng.shuffle(slots)
-    return slots[:count], palette
+    return slots[:count]
 
 
 def _factorized_complete(spec: GenSpec) -> ColoredGraph:
@@ -84,16 +83,15 @@ def _factorized_complete(spec: GenSpec) -> ColoredGraph:
             a = (r + i) % (n - 1)
             b = (r - i) % (n - 1)
             edges.append((min(a, b), max(a, b), color))
-    palette = frozenset(f"c{r}" for r in range(max(n - 1, 0)))
-    return ColoredGraph(n, tuple(edges), palette=palette)
+    return ColoredGraph(n, tuple(edges))
 
 
 def generate(spec: GenSpec) -> ColoredGraph:
     """Build the graph described by ``spec``; same spec, same graph, always.
 
-    The declared palette covers every color the recipe could have used,
-    which may exceed the colors actually present. Specs with more than
-    ``MAX_VERTICES`` vertices are refused before anything is allocated.
+    The palette is the colors drawn, so it may hold fewer than
+    ``palette_size``. Specs with more than ``MAX_VERTICES`` vertices are
+    refused before anything is allocated.
     """
     check_vertex_count(spec.n)
     if spec.n > MAX_VERTICES:
@@ -116,6 +114,6 @@ def generate(spec: GenSpec) -> ColoredGraph:
         ]
     else:
         raise PreconditionError(f"unknown model {spec.model!r}")
-    colors, palette = _color_pool(spec, rng, len(pairs))
+    colors = _color_pool(spec, rng, len(pairs))
     edges = tuple((u, v, c) for (u, v), c in zip(pairs, colors))
-    return ColoredGraph(spec.n, edges, palette=palette)
+    return ColoredGraph(spec.n, edges)

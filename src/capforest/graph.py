@@ -134,50 +134,38 @@ def check_component_target(n: int, m: int, below_n: bool = False) -> None:
         raise PreconditionError(f"component count must be in 1..{top}, got {m}")
 
 
-def color_set(
-    colors: Iterable[str], name: str = "color set", error: type = PreconditionError
-) -> frozenset[str]:
-    """``colors`` as a frozenset of strings, else an ``error`` naming ``name``."""
+def color_set(colors: Iterable[str]) -> frozenset[str]:
+    """``colors`` as a frozenset of strings, else a :class:`PreconditionError`."""
     # else one color per character, or per byte value ("120" for b"x")
     if isinstance(colors, (str, bytes, bytearray, memoryview)):
         kind = "a string" if isinstance(colors, str) else "bytes"
-        raise error(f"{name} must not be {kind}: {colors!r}")
+        raise PreconditionError(f"color set must not be {kind}: {colors!r}")
     try:
         return frozenset(map(str, colors))
     except TypeError as exc:
-        raise error(f"{name} must be an iterable of colors: {exc}") from exc
+        raise PreconditionError(f"color set must be an iterable of colors: {exc}") from exc
 
 
 class ColoredGraph(Record):
     """Simple undirected graph with one color label per edge.
 
-    ``palette`` is the union of the colors occurring on edges and any
-    explicitly declared extras, so it may be larger than the set of colors
-    actually present. Declared colors are turned into strings, as edge
-    colors are. Edge order is preserved exactly as given; it anchors
+    Edge colors are turned into strings, and ``palette`` is the set of
+    them. Edge order is preserved exactly as given; it anchors
     deterministic solver output.
     """
 
-    __slots__ = __match_args__ = ("n", "edges", "palette")
+    __slots__ = __match_args__ = ("n", "edges")
     n: int
     edges: tuple[Edge, ...]
-    palette: frozenset[str]
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int, str]] = (),
-        palette: Iterable[str] = frozenset(),
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, str]] = ()):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "palette", palette)
         self.__post_init__()
 
     def __post_init__(self):
         n = self.n
         check_vertex_count(n, GraphConstructionError)
-        declared = color_set(self.palette, "palette", GraphConstructionError)
         try:
             # tuple.__new__ runs no Python frame per edge, unlike Edge(...)
             edges = tuple(
@@ -204,7 +192,11 @@ class ColoredGraph(Record):
                 raise GraphConstructionError(f"duplicate edge {{{u},{v}}}", i)
             seen.add(pair)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "palette", declared | {e.color for e in edges})
+
+    @property
+    def palette(self) -> frozenset[str]:
+        """The colors on the edges, collected anew on each read."""
+        return frozenset([e.color for e in self.edges])
 
     def sorted_palette(self) -> list[str]:
         return sorted(self.palette)

@@ -204,7 +204,7 @@ def emit_instance(graph: ColoredGraph) -> str:
     edge list in the same order. A color that would not read back as one
     token (empty, containing whitespace, or starting a comment) is refused.
     """
-    for color in sorted({e.color for e in graph.edges}):
+    for color in graph.sorted_palette():
         if color.split() != [color] or color.startswith("#"):
             raise PreconditionError(
                 f"color {color!r} cannot be written as a bare token"

@@ -64,14 +64,14 @@ def sample_solver_instance(
     max_edges: int = 14,
     max_palette: int = 5,
 ) -> tuple[ColoredGraph, CapacityMap]:
-    """Random small instance: graph plus capacities 0-3 over its palette."""
+    """Random small instance: graph plus capacities 0-3 over the colors drawn from."""
     n = rng.randint(1, max_n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     count = rng.randint(0, min(max_edges, len(pairs)))
     palette = [f"c{j}" for j in range(rng.randint(1, max_palette))]
     edges = [(u, v, palette[rng.randrange(len(palette))]) for u, v in sorted(pairs[:count])]
-    g = ColoredGraph(n, tuple(edges), palette=frozenset(palette))
+    g = ColoredGraph(n, tuple(edges))
     caps = CapacityMap({c: rng.randint(0, 3) for c in palette})
     return g, caps
 
@@ -131,8 +131,8 @@ def density_guarantee_instance(
     edge_count = len(g.edges)
     caps = CapacityMap(
         {
-            c: math.ceil(Fraction(census.get(c, 0) * (n - components), edge_count))
-            for c in g.sorted_palette()
+            c: math.ceil(Fraction(census[c] * (n - components), edge_count))
+            for c in sorted(census)
         }
     )
     return g, caps, components

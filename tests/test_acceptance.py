@@ -184,7 +184,7 @@ def test_criterion_8_monotonicity(solved_corpus):
             m_checks += 1
         rng = random.Random(f"{key}:bump")
         bigger = CapacityMap(
-            {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(g.palette)}
+            {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(caps.assignments)}
         )
         for m in range(1, g.n + 1):
             if isinstance(verdicts[m], Forest):

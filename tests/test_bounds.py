@@ -137,6 +137,14 @@ class TestDensitySufficient:
         assert report.per_color["c0"].ok
         assert report.guaranteed
 
+    def test_needs_budgets_for_edge_colors_only(self):
+        # 12 of the 30 colors are drawn onto K6's 15 edges
+        g = generate(GenSpec(2, 6, model="complete", palette_size=30))
+        census = color_census(g)
+        report = density_sufficient(g, CapacityMap({c: 1 for c in census}), 1)
+        assert sorted(report.per_color) == sorted(census)
+        assert report.guaranteed
+
     def test_target_equal_to_order_rejected(self):
         g = ColoredGraph(3, [(0, 1, "a")])
         with pytest.raises(PreconditionError):

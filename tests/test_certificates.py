@@ -22,6 +22,7 @@ from capforest import (
 )
 from capforest.certificates import oracle_fewest_components
 from capforest.engine import ExchangeGraph
+from capforest.generators import GenSpec, generate
 from capforest.sweeps import sample_solver_instance
 
 
@@ -35,6 +36,11 @@ def triangle():
 
 def square_aabb():
     return ColoredGraph(4, [(0, 1, "a"), (1, 2, "a"), (2, 3, "b"), (3, 0, "b")])
+
+
+def star(count):
+    """A star on ``count`` edges, each of its own color ``x00``, ``x01``, ..."""
+    return ColoredGraph(count + 1, [(0, i + 1, f"x{i:02}") for i in range(count)])
 
 
 def final_search(g, caps):
@@ -178,17 +184,20 @@ class TestOracleCondition:
         cert = oracle_condition(g, caps, 2)
         assert cert is not None and cert.violating == {"a"}
 
+    def test_witness_holds_edge_colors_only(self):
+        # c1, c2 and c5 are on no edge: each deletes nothing and adds nothing
+        g = generate(GenSpec(1, 5, p=0.4, palette_size=6))
+        assert g.sorted_palette() == ["c0", "c3", "c4"]
+        caps = CapacityMap({f"c{j}": int(f"c{j}" in g.palette) for j in range(6)})
+        cert = oracle_condition(g, caps, 1)
+        assert cert is not None and cert.violating == {"c0", "c3"}
+
     def test_palette_limit(self):
-        g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset(f"x{i}" for i in range(20)))
         with pytest.raises(OracleLimitError):
-            oracle_condition(g, CapacityMap.uniform(1), 1)
+            oracle_condition(star(20), CapacityMap.uniform(1), 1)
         # palette limit, then the empty graph, then the component range
-        wide = frozenset(f"x{i:02}" for i in range(17))
-        g = ColoredGraph(2, [(0, 1, "x00")], palette=wide)
         with pytest.raises(OracleLimitError):
-            oracle_condition(g, CapacityMap.uniform(1), 0)
-        with pytest.raises(OracleLimitError):
-            oracle_condition(ColoredGraph(0, palette=wide), CapacityMap.uniform(1), 1)
+            oracle_condition(star(17), CapacityMap.uniform(1), 0)
         with pytest.raises(EmptyGraphError):
             oracle_condition(ColoredGraph(0), CapacityMap.uniform(1), 1)
         with pytest.raises(PreconditionError, match="must be in 1..2, got 3"):
@@ -247,8 +256,9 @@ class TestOncePerInstanceOracles:
                 )
 
     def test_single_vertex(self):
-        g = ColoredGraph(1, palette=frozenset({"a"}))
-        assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
+        # a budget for a color on no edge buys no component
+        g = ColoredGraph(1)
+        assert oracle_fewest_components(g, CapacityMap({"a": 1})) == 1
         assert oracle_forest_search(g, CapacityMap.uniform(1)).size == 0
 
     def test_zero_vertices(self):
@@ -268,12 +278,17 @@ class TestOncePerInstanceOracles:
         assert oracle_forest_search(g, caps).size == 0
 
     def test_palette_limit(self):
-        at_limit = frozenset(f"x{i:02}" for i in range(16))
-        g = ColoredGraph(2, [(0, 1, "x00")], palette=at_limit)
-        assert oracle_fewest_components(g, CapacityMap.uniform(1)) == 1
-        g = ColoredGraph(2, [(0, 1, "x00")], palette=at_limit | {"x16"})
+        assert oracle_fewest_components(star(16), CapacityMap.uniform(1)) == 1
         with pytest.raises(OracleLimitError):
-            oracle_fewest_components(g, CapacityMap.uniform(1))
+            oracle_fewest_components(star(17), CapacityMap.uniform(1))
+
+    def test_palette_limit_counts_edge_colors_only(self):
+        # palette_size 40, but only 7 colors are drawn onto its 9 edges
+        g = generate(GenSpec(1, 6, p=0.5, palette_size=40))
+        assert len(g.palette) == 7
+        caps = CapacityMap.uniform(1)
+        fewest = oracle_fewest_components(g, caps)
+        assert fewest == g.n - helpers.min_max_bound(g, caps) == 1
 
     def test_edge_limit(self):
         pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]

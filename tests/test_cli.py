@@ -451,6 +451,23 @@ class TestSolveGoldenAtScale:
         assert run.returncode == code, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest
 
+    def test_rainbow_1200(self, tmp_path):
+        # rainbow G(1200, 0.0167), pinned before the search is rewritten
+        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
+        assert cli.main(["gen", "--model", "gnp", "--n", "1200", "--p", "0.0167",
+                         "--colors", "1200", "--seed", "3", "--out", str(inst)]) == 0
+        sidecar.write_text("fdefault 1\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+        run = subprocess.run(
+            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
+             "--caps", str(sidecar), "--json"],
+            env=env, capture_output=True, check=False, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "1cdd5810e33de78e1488ef1f94d16c4b3965a6acdca791fe209a821f6f8285ce"
+        )
+
     def test_path_and_chords_8000(self, tmp_path):
         # a path 0..n-1 of color p, chords (i, i + n/2) of color q with
         # budget 0, and one more p edge to vertex n: m = 1 is impossible,
@@ -654,6 +671,41 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "first failure: 9:agreement:0" in out
         assert "LAW VIOLATION" in out
+
+
+class TestUnexpectedExceptions:
+    """A bug that raises no capforest error still exits 3, never 1."""
+
+    @pytest.mark.parametrize(
+        "argv, target, name, exc, message",
+        [
+            (["solve", "{path}", "-m", "1"], "capforest.engine.ExchangeGraph",
+             "shortest_augmenting_path", KeyError(7), "KeyError: 7"),
+            (["certify", "{path}", "-m", "1", "--colors", "a"], "capforest.certificates",
+             "evaluate_condition", IndexError("list index out of range"),
+             "IndexError: list index out of range"),
+            (["oracle", "{path}", "-m", "1"], "capforest.certificates",
+             "oracle_forest_search", TypeError("unhashable"), "TypeError: unhashable"),
+            (["sweep", "--count", "1"], "capforest.sweeps", "run_oracle_agreement",
+             RecursionError("maximum recursion depth exceeded"),
+             "RecursionError: maximum recursion depth exceeded"),
+            (["gen", "--n", "3"], "capforest.generators", "generate",
+             ValueError("bad spec"), "ValueError: bad spec"),
+        ],
+        ids=["solve", "certify", "oracle", "sweep", "gen"],
+    )
+    def test_exits_three_with_one_line(
+        self, path_file, capsys, monkeypatch, argv, target, name, exc, message
+    ):
+        def broken(*_):
+            raise exc
+
+        monkeypatch.setattr(f"{target}.{name}", broken)
+        argv = [arg.format(path=path_file) for arg in argv]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {message}\n"
 
 
 class TestDeterminism:

@@ -52,7 +52,7 @@ def gnp_instance(seed, n=30):
     ]
     rng.shuffle(edges)
     caps = CapacityMap({c: rng.randint(1, 2) for c in palette})
-    return ColoredGraph(n, edges, palette=frozenset(palette)), caps
+    return ColoredGraph(n, edges), caps
 
 
 def seeded_instances():
@@ -393,7 +393,7 @@ class TestSolve:
             rng = random.Random(f"mono-f:{index}")
             g, caps = sample_solver_instance(rng)
             bigger = CapacityMap(
-                {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(g.palette)}
+                {c: caps.cap(c) + rng.randint(0, 2) for c in sorted(caps.assignments)}
             )
             for m in range(1, g.n + 1):
                 if isinstance(solve(g, caps, m), Forest):

@@ -161,7 +161,3 @@ class TestColorings:
             generate(GenSpec(seed=0, n=3, model="complete", palette_size=2, k=-1))
         assert str(info.value) == "k_bounded coloring needs k >= 0"
 
-    def test_uniform_declares_whole_palette(self):
-        g = generate(GenSpec(seed=0, n=3, model="gnp", p=0.0, palette_size=4))
-        assert g.palette == {"c0", "c1", "c2", "c3"}
-

@@ -44,7 +44,7 @@ def colored_graphs(draw, max_n=6):
             st.lists(st.sampled_from(PALETTE), min_size=len(chosen), max_size=len(chosen))
         )
         edges = [(u, v, c) for (u, v), c in zip(chosen, colors)]
-    return ColoredGraph(n, edges, palette=frozenset(PALETTE))
+    return ColoredGraph(n, edges)
 
 
 class TestConstruction:
@@ -151,45 +151,16 @@ class TestConstruction:
         assert str(info.value) == f"edges must be (u, v, color) triples: {reason}"
         assert info.value.index is None
 
-    def test_palette_is_union_of_declared_and_present(self):
-        g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({"b"}))
+    def test_palette_is_the_edge_colors(self):
+        g = ColoredGraph(3, [(0, 1, "b"), (1, 2, "a")])
         assert g.palette == {"a", "b"}
+        assert ColoredGraph.__slots__ == ("n", "edges")
+        with pytest.raises(TypeError):
+            ColoredGraph(2, [(0, 1, "a")], palette={"c"})
 
-    def test_rejects_a_string_palette(self):
-        # iterating "xy" would declare the colors "x" and "y"
-        with pytest.raises(GraphConstructionError) as info:
-            ColoredGraph(3, [(0, 1, "ab")], palette="xy")
-        assert str(info.value) == "palette must not be a string: 'xy'"
-        assert info.value.index is None
-
-    @pytest.mark.parametrize(
-        "palette", [b"xy", bytearray(b"xy"), memoryview(b"xy")]
-    )
-    def test_rejects_a_bytes_palette(self, palette):
-        # iterating b"xy" would declare the colors "120" and "121"
-        with pytest.raises(GraphConstructionError) as info:
-            ColoredGraph(3, [(0, 1, "ab")], palette=palette)
-        assert str(info.value) == f"palette must not be bytes: {palette!r}"
-        assert info.value.index is None
-
-    @pytest.mark.parametrize(
-        "palette, kind", [(None, "NoneType"), (5, "int")]
-    )
-    def test_rejects_a_palette_that_is_not_iterable(self, palette, kind):
-        with pytest.raises(GraphConstructionError) as info:
-            ColoredGraph(3, [(0, 1, "ab")], palette=palette)
-        assert str(info.value) == (
-            f"palette must be an iterable of colors: '{kind}' object is not iterable"
-        )
-        assert info.value.index is None
-
-    def test_a_palette_may_be_any_iterable_of_colors(self):
-        g = ColoredGraph(2, [(0, 1, "a")], palette=iter(["b", "c"]))
-        assert g.palette == {"a", "b", "c"}
-
-    def test_declared_palette_entries_become_strings(self):
-        # as edge colors do; a mixed palette cannot be sorted
-        g = ColoredGraph(2, [(0, 1, "a")], palette=frozenset({1}))
+    def test_palette_entries_become_strings(self):
+        # edge colors are turned into strings; a mixed palette cannot be sorted
+        g = ColoredGraph(3, [(0, 1, "a"), (1, 2, 1)])
         assert g.palette == {"1", "a"}
         assert g.sorted_palette() == ["1", "a"]
         caps = CapacityMap.uniform(1)

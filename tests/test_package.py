@@ -263,7 +263,7 @@ PLAIN_DATA = {
         lambda: Instance(ColoredGraph(1), {"a": 1}, None),
         lambda: Instance(graph=ColoredGraph(1), capacities={"a": 1}, default_capacity=None),
         lambda: Instance(ColoredGraph(1), {"a": 1}, 0),
-        "Instance(graph=ColoredGraph(n=1, edges=(), palette=frozenset()), "
+        "Instance(graph=ColoredGraph(n=1, edges=()), "
         "capacities={'a': 1}, default_capacity=None)",
     ),
 }

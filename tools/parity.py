@@ -68,8 +68,7 @@ ExchangeGraph.shortest_augmenting_path = recorded
 
 
 def entry(key, g, caps, targets):
-    return [key, g.n, [list(e) for e in g.edges], sorted(g.palette),
-            caps.assignments, caps.default, targets]
+    return [key, g.n, [list(e) for e in g.edges], caps.assignments, caps.default, targets]
 
 
 def draw(job):
@@ -83,7 +82,7 @@ def draw(job):
         n, colors = rng.randint(10, 200), rng.randint(1, 8)
         spec = GenSpec(index, n, p=rng.uniform(1, 8) / (n - 1), palette_size=colors)
         g = generate(spec)
-        caps = CapacityMap({c: rng.randint(0, n // colors) for c in sorted(g.palette)})
+        caps = CapacityMap({f"c{j}": rng.randint(0, n // colors) for j in range(colors)})
         fewest = n - maximize_forest(g, caps).size
         targets = sorted({1, max(1, fewest - 1), fewest, min(n, fewest + 1)})
         out.append(entry(f"gnp:{index}", g, caps, targets))
@@ -113,8 +112,8 @@ def paths(g, caps):
 
 def verdicts(instances):
     out = {}
-    for key, n, edges, palette, assignments, default, targets in instances:
-        g = ColoredGraph(n, [tuple(e) for e in edges], palette=frozenset(palette))
+    for key, n, edges, assignments, default, targets in instances:
+        g = ColoredGraph(n, [tuple(e) for e in edges])
         caps = CapacityMap(assignments, default)
         # ahead of the verdicts, so a changed search is reported as such
         out[f"{key} paths"] = paths(g, caps)
