@@ -19,10 +19,8 @@ _MODULE_OF = {
     "max_edges_for_components": "bounds",
     "Certificate": "certificates",
     "evaluate_condition": "certificates",
-    "extract_certificate": "certificates",
     "oracle_condition": "certificates",
     "oracle_forest_search": "certificates",
-    "augment_step": "engine",
     "maximize_forest": "engine",
     "prune_to_components": "engine",
     "solve": "engine",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from .errors import InternalSolverError, OracleLimitError, PreconditionError
+from .errors import InternalSolverError, OracleLimitError
 from .graph import (
     CapacityMap,
     ColoredGraph,
@@ -107,31 +107,22 @@ class Certificate(Record):
 def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
     """Read a violating color set off a search that found no augmenting path.
 
-    ``search`` must be an exchange graph whose
-    :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` has
-    returned None, and its forest must fall short of ``n - components``
-    edges (both checked); the graph and the budgets are the search's own.
-    The violating set is ``search.reached_colors``, the colors of the
-    outside edges the search reached: by Edmonds' matroid intersection
-    min-max theorem the reached set is a minimum cut, so deleting its
-    colors leaves ``n - |F|`` components plus their budget. Rather than
-    trust this, the components are recounted: a count off that equality
-    means the forest is not maximum, an :class:`InternalSolverError`, and
-    :class:`Certificate` refuses the set unless the inequality is violated
-    strictly.
+    This is the solver's last step on the impossible path: ``search`` is
+    the exchange graph whose
+    :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` came
+    up empty on a forest short of ``n - components`` edges, and the graph
+    and the budgets are the search's own. The violating set is
+    ``search.reached_colors``, the colors of the outside edges the search
+    reached: by Edmonds' matroid intersection min-max theorem the reached
+    set is a minimum cut, so deleting its colors leaves ``n - |F|``
+    components plus their budget. Rather than trust this, the components
+    are recounted: a count off that equality means the forest is not
+    maximum, an :class:`InternalSolverError`, and :class:`Certificate`
+    refuses the set unless the inequality is violated strictly.
     """
     forest = search.forest
     g = forest.host
-    if forest.size >= g.n - components:
-        raise PreconditionError(
-            "forest already reaches the component target; nothing to certify"
-        )
     violating = search.reached_colors
-    if violating is None:
-        raise PreconditionError(
-            "the search has not come up empty; "
-            "certificate extraction needs a search on a maximum forest"
-        )
     remaining, budget = evaluate_condition(g, search.caps, components, violating)
     if remaining - (budget - components) != g.n - forest.size:
         raise InternalSolverError(

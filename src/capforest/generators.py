@@ -18,7 +18,8 @@ from .graph import ColoredGraph, check_vertex_count
 # million pairs, which ``complete`` holds in memory at once.
 MAX_VERTICES = 2000
 # A k-bounded pool holds one name per slot; past the most edges a graph
-# can have, more only fills memory. A uniform palette has the same bound.
+# can have, more only fills memory. A uniform coloring draws one color per
+# edge and holds no pool, so it has no such bound.
 MAX_COLOR_SLOTS = MAX_VERTICES * (MAX_VERTICES - 1) // 2
 
 
@@ -48,13 +49,15 @@ def _color_pool(spec: GenSpec, rng: random.Random, count: int) -> list[str]:
     coloring = "uniform" if k is None else "k_bounded"
     if size is None or size < 1:
         raise PreconditionError(f"{coloring} coloring needs palette_size >= 1")
-    slots = size if k is None or k < 1 else size * k
-    if slots > MAX_COLOR_SLOTS:
-        raise PreconditionError(
-            f"{coloring} coloring needs at most {MAX_COLOR_SLOTS} color slots, got {slots}"
-        )
     if k is None:
         return [f"c{rng.randrange(size)}" for _ in range(count)]
+    # k < 1 counts one slot per color, so a huge palette is refused before
+    # the pool below loops over it
+    slots = size * max(k, 1)
+    if slots > MAX_COLOR_SLOTS:
+        raise PreconditionError(
+            f"k_bounded coloring needs at most {MAX_COLOR_SLOTS} color slots, got {slots}"
+        )
     if k < 0:
         raise PreconditionError("k_bounded coloring needs k >= 0")
     slots = [f"c{j}" for j in range(size) for _ in range(k)]

@@ -1,11 +1,15 @@
-"""Independent brute-force oracles used to cross-check the solver.
+"""Independent references used to cross-check the solver.
 
 Everything here recomputes from first principles (breadth-first component
-counts, exhaustive subset enumeration) and deliberately avoids the
-package's union-find and augmentation code paths.
+counts, exhaustive subset enumeration, a union-find of its own) and
+deliberately avoids the package's union-find and augmentation code paths;
+from ``capforest`` it may import only ``capforest.graph``. The reference
+search restates the solver's augmenting-path search over the explicit
+exchange graph, so that the solver's tests pin which paths it takes, not
+how it finds them.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 
@@ -119,3 +123,101 @@ def rainbow_tree_partition_condition(g):
         if len(crossing_colors) < len(part) - 1:
             return False
     return True
+
+
+def component_labels(n, edges):
+    """One union-find root per vertex, over the ``(u, v, ...)`` ``edges``."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v, *_ in edges:
+        parent[find(u)] = find(v)
+    return [find(v) for v in range(n)]
+
+
+def greedy_forest(g, caps):
+    """Edges in index order, each kept while its color has budget and it
+    joins two components of the edges kept so far."""
+    kept, used = [], Counter()
+    for i, e in enumerate(g.edges):
+        labels = component_labels(g.n, [g.edges[j] for j in kept])
+        if used[e.color] < caps.cap(e.color) and labels[e.u] != labels[e.v]:
+            used[e.color] += 1
+            kept.append(i)
+    return kept
+
+
+def reference_search(g, caps, members):
+    """The solver's augmenting-path search from the forest ``members``.
+
+    Returns ``(path, None)``, or ``(None, reached colors)`` when there is
+    no path. Nodes are edge indices. Sources are the smallest-index
+    outside edge of each color among those joining two forest components;
+    sinks are outside edges whose color has spare budget. An outside edge
+    has arcs to the forest edges of its color, and a forest edge to the
+    outside edges that it alone connects within a component (they fall
+    apart without it). The search is breadth-first: a node's parent is
+    the smallest-index node of the layer before with an arc to it, and the
+    path ends at the smallest-index sink of the first layer that holds one.
+    """
+    edges = g.edges
+    forest = set(members)
+    whole = component_labels(g.n, [edges[i] for i in forest])
+    used = Counter(edges[i].color for i in forest)
+    outside = [i for i in range(len(edges)) if i not in forest]
+
+    def arcs(x):
+        if x not in forest:
+            return [i for i in forest if edges[i].color == edges[x].color]
+        cut = component_labels(g.n, [edges[i] for i in forest - {x}])
+        return [
+            i
+            for i in outside
+            if whole[edges[i].u] == whole[edges[i].v] and cut[edges[i].u] != cut[edges[i].v]
+        ]
+
+    first = {}
+    for i in outside:
+        if whole[edges[i].u] != whole[edges[i].v]:
+            first.setdefault(edges[i].color, i)
+    parent = dict.fromkeys(first.values())
+    layer = sorted(parent)
+    while layer:
+        sinks = [
+            x
+            for x in layer
+            if x not in forest and used[edges[x].color] < caps.cap(edges[x].color)
+        ]
+        if sinks:
+            path = [sinks[0]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1], None
+        nxt = []
+        for x in layer:
+            for y in arcs(x):
+                if y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        layer = sorted(nxt)
+    return None, {edges[x].color for x in parent if x not in forest}
+
+
+def reference_paths(g, caps):
+    """Augmenting paths from the greedy forest to a maximum one.
+
+    Returns the paths in order, the maximum forest's sorted members and
+    the colors that the last search, the one that found no path, reached.
+    """
+    members = greedy_forest(g, caps)
+    paths = []
+    while True:
+        path, reached = reference_search(g, caps, members)
+        if path is None:
+            return paths, members, reached
+        paths.append(path)
+        members = sorted(set(members).symmetric_difference(path))

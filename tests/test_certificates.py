@@ -13,14 +13,13 @@ from capforest import (
     OracleLimitError,
     PreconditionError,
     evaluate_condition,
-    extract_certificate,
     maximize_forest,
     oracle_condition,
     oracle_forest_search,
     solve,
     sweeps,
 )
-from capforest.certificates import oracle_fewest_components
+from capforest.certificates import extract_certificate, oracle_fewest_components
 from capforest.engine import ExchangeGraph
 from capforest.generators import GenSpec, generate
 from capforest.sweeps import sample_solver_instance
@@ -96,9 +95,11 @@ class TestExtractCertificate:
             extract_certificate(search, 1)
 
     def test_rejects_forest_that_already_reaches_target(self):
+        # the spanning tree's search reaches no color, and the empty set
+        # leaves 1 component, within the bound 1
         g = triangle()
         caps = CapacityMap.uniform(1)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InternalSolverError, match="does not witness a violation: 1 <= 1"):
             extract_certificate(final_search(g, caps), 1)
 
     def test_bound_comes_from_the_search_budgets(self):

@@ -557,12 +557,7 @@ class TestGenCommand:
             (["--colors", "0", "--k", "2"], "k_bounded coloring needs palette_size >= 1"),
             (["--k", "-1"], "k_bounded coloring needs k >= 0"),
             (["--k", "1"], "cannot place 3 edges on 1 colors with at most 1 edges each"),
-            # refused before a name is made for each color or slot
-            (
-                ["--colors", "99999999999999999999"],
-                "uniform coloring needs at most 1999000 color slots, "
-                "got 99999999999999999999",
-            ),
+            # refused before a name is made for each slot
             (
                 ["--colors", "2", "--k", "999501"],
                 "k_bounded coloring needs at most 1999000 color slots, got 1999002",
@@ -574,6 +569,19 @@ class TestGenCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_uniform_coloring_takes_any_palette_size(self, capsys):
+        # one color drawn per edge, and no pool of names, so no slot limit
+        args = ["gen", "--model", "complete", "--n", "3", "--colors", "99999999999999999999"]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "graph 3\n"
+            "e 0 1 c7758176404715800194\n"
+            "e 0 2 c91596660008221695546\n"
+            "e 1 2 c52201572241720673849\n"
+        )
 
     def test_factorized_ignores_colors_and_k(self, capsys):
         # the name is kept from when these flags were silently dropped

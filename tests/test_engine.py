@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from capforest import (
@@ -12,13 +14,12 @@ from capforest import (
     InternalSolverError,
     MissingCapacityError,
     PreconditionError,
-    augment_step,
     generate,
     maximize_forest,
     prune_to_components,
     solve,
 )
-from capforest.engine import ExchangeGraph, _final_search
+from capforest.engine import ExchangeGraph, _final_search, augment_step
 from capforest.sweeps import sample_solver_instance
 
 
@@ -61,6 +62,10 @@ def seeded_instances():
         yield f"warm:{index}", *sample_solver_instance(rng)
     for seed in range(8):
         yield f"gnp:{seed}", *gnp_instance(seed)
+    # sparse rainbow graphs: augmenting paths of length 5 and 7
+    for seed in range(5):
+        g = generate(GenSpec(seed, 60, p=0.1, palette_size=60))
+        yield f"rainbow:{seed}", g, CapacityMap.uniform(1)
 
 
 def cold_start(g, caps):
@@ -71,51 +76,42 @@ def cold_start(g, caps):
     return search.forest
 
 
-def component_labels(g, kept):
-    """One union-find root per vertex, over the edges ``kept``."""
-    parent = list(range(g.n))
+def engine_run(g, caps):
+    """Every result of the searches that ``maximize_forest`` runs, in order
+    (an augmenting path, then None), and the forest it returns. The search
+    is wrapped as ``tools/parity.py`` wraps it."""
+    taken = []
+    search = ExchangeGraph.shortest_augmenting_path
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def recorded(self):
+        taken.append(search(self))
+        return taken[-1]
 
-    for i in kept:
-        e = g.edges[i]
-        parent[find(e.u)] = find(e.v)
-    return [find(v) for v in range(g.n)]
-
-
-def forest_path_arcs(g, forest):
-    """Member -> inside edges whose forest path uses it, by union-find.
-
-    Member ``m`` lies on the forest path of inside edge ``(u, v)`` exactly
-    when ``u`` and ``v`` fall into different components of the forest
-    without ``m``.
-    """
-    members = set(forest.members)
-    whole = component_labels(g, members)
-    inside = [
-        i
-        for i, e in enumerate(g.edges)
-        if i not in members and whole[e.u] == whole[e.v]
-    ]
-    arcs = {}
-    for m in members:
-        cut = component_labels(g, members - {m})
-        arcs[m] = [i for i in inside if cut[g.edges[i].u] != cut[g.edges[i].v]]
-    return arcs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExchangeGraph, "shortest_augmenting_path", recorded)
+        forest = maximize_forest(g, caps)
+    return taken, forest.members
 
 
-def first_sources(g, forest):
-    """Color -> smallest-index edge joining two forest components, by union-find."""
-    whole = component_labels(g, forest.members)
-    first = {}
-    for i, e in enumerate(g.edges):
-        if whole[e.u] != whole[e.v]:
-            first.setdefault(e.color, i)
-    return first
+def check_reference_paths(key, g, caps):
+    """The solver takes the reference's paths, and certifies with its colors."""
+    paths, members, reached = helpers.reference_paths(g, caps)
+    taken, got = engine_run(g, caps)
+    assert taken == [*paths, None], key
+    assert list(got) == members, key
+    if len(members) < g.n - 1:
+        assert solve(g, caps, 1).violating == reached, key
+
+
+@st.composite
+def small_instances(draw, max_n=8, palette="abcd"):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    colors = draw(st.lists(st.sampled_from(palette), min_size=len(chosen), max_size=len(chosen)))
+    caps = draw(st.fixed_dictionaries({c: st.integers(0, 3) for c in palette}))
+    edges = [(u, v, c) for (u, v), c in zip(chosen, colors)]
+    return ColoredGraph(n, edges), CapacityMap(caps)
 
 
 class TestAugmentStep:
@@ -267,40 +263,45 @@ class TestWarmStart:
         assert verdict.omega_measured == 4
 
 
-class TestExchangeArcs:
-    def check(self, key, graph):
-        forest = graph.forest
-        # one source per color, its first; the search scans them in this
-        # order, without sorting
-        first = first_sources(forest.host, forest)
-        assert graph.sources == sorted(first.values()), key
-        for m, expected in forest_path_arcs(forest.host, forest).items():
-            assert sorted(graph._arcs_from_member[m]) == expected, (key, m)
+class TestReferencePaths:
+    # the solver's augmenting paths equal those of the reference search in
+    # tests/helpers.py, which states the tie-break rule once
 
-    def test_arcs_match_union_find_oracle_along_augmentation(self):
+    def test_seeded_instances(self):
         for key, g, caps in seeded_instances():
-            search = ExchangeGraph(caps, Forest(g))
-            while search is not None:
-                self.check(key, search)
-                search = augment_step(search)
+            check_reference_paths(key, g, caps)
 
-    def test_arcs_on_random_spanning_forests(self):
-        # forests that no augmentation run visits, with budgets that never bind
-        caps = CapacityMap.uniform(10**6)
-        for seed in range(10):
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances())
+    def test_random_instances(self, instance):
+        check_reference_paths("hypothesis", *instance)
+
+    def test_searches_from_forests_no_augmentation_visits(self):
+        # a random spanning forest less two edges, with its colors full and
+        # a few spare colors outside it, so some searches run through swaps
+        for seed in range(20):
             g, _ = gnp_instance(seed, n=40)
             rng = random.Random(f"spanning:{seed}")
             order = list(range(len(g.edges)))
             rng.shuffle(order)
-            kept, forest = [], Forest(g)
-            for i in order[: rng.randint(0, len(g.edges))]:
+            kept = []
+            for i in order:
                 try:
-                    forest = Forest(g, (*kept, i))
+                    Forest(g, (*kept, i))
                 except PreconditionError:
                     continue
                 kept.append(i)
-            self.check(f"spanning:{seed}", ExchangeGraph(caps, forest))
+            forest = Forest(g, kept[2:])
+            used = forest.color_counts()
+            caps = CapacityMap(
+                {c: used.get(c, int(rng.random() < 0.1)) for c in g.sorted_palette()}
+            )
+            path, _ = helpers.reference_search(g, caps, forest.members)
+            got = ExchangeGraph(caps, forest).shortest_augmenting_path()
+            assert got == path, f"spanning:{seed}"
 
+
+class TestExchangeArcs:
     def test_few_colors_give_few_sources(self):
         # the impossible-fewcolor bench shape: about 24k edges on 8 colors
         g = generate(GenSpec(5, 400, p=0.3, palette_size=8))
@@ -310,7 +311,6 @@ class TestExchangeArcs:
         assert search.forest.size == sum(1 + j % 3 for j in range(8))
         assert len(search.sources) <= 8
         assert search.reached_colors == {f"c{j}" for j in range(8)}
-        self.check("fewcolor-400", search)
 
 
 class TestPrune:

@@ -14,8 +14,8 @@ on:
   fewest reachable components on 300 seeded G(n, p) with n = 10-200;
 * the exit code, stdout and stderr of ``gen``, ``solve --json``,
   ``certify`` and ``oracle`` on instances shaped like the bench corpora,
-  the rainbow G(600, 0.04) instance and the path-and-chords instance at
-  n = 4000;
+  the rainbow G(600, 0.04), G(1200, 0.0167) and G(2000, 0.01) instances
+  and the path-and-chords instance at n = 4000;
 * the same for ``sweep --count`` 0, 1, 7 and 250 at seeds 0-9.
 
 The old tree draws the instances once and both trees solve the same ones.
@@ -94,8 +94,6 @@ def canonical(g, caps, m):
         verdict = solve(g, caps, m)
     except Exception as exc:
         return ["error", type(exc).__name__, str(exc)]
-    # older trees wrap the result in a record with a .forest or .certificate
-    verdict = getattr(verdict, "forest", getattr(verdict, "certificate", verdict))
     if isinstance(verdict, Forest):
         return ["found", list(verdict.members)]
     return ["impossible", verdict.sorted_colors(), verdict.omega_measured, verdict.bound]
@@ -188,6 +186,8 @@ FILES = (
     FileCase("palette-40", gnp(100, 0.3, 40, 6), RAINBOW,
              solve_at(1) + CERTIFY + (("oracle", "-m", "1"),)),
     FileCase("rainbow-600", gnp(600, 0.04, 600, 3), RAINBOW, solve_at(1)),
+    FileCase("rainbow-1200", gnp(1200, 0.0167, 1200, 3), RAINBOW, solve_at(1)),
+    FileCase("rainbow-2000", gnp(2000, 0.01, 2000, 3), RAINBOW, solve_at(1)),
     FileCase("chords-4000", chords(4000), "f p 3999\nf q 0\n", solve_at(1)),
     *(
         FileCase(f"small-{seed}", gnp(7, 0.5, 3, seed), "f c0 1\nf c1 2\nf c2 3\n",
