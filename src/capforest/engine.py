@@ -15,11 +15,16 @@ has spare budget makes the forest one edge larger. The search for it
 works color by color: all outside edges of one fully-used color reach the
 same forest edges, so it starts from one source per color and claims a
 color's forest edges once, alternating outside and member half-steps.
+Most chains end one member half-step out, so the first member half-step
+looks for a sink whose forest path meets the layer, and only when none
+does are the member arcs built.
 When no chain exists the forest has maximum size among all
 capacity-respecting forests, which the exhaustive oracles in
 :mod:`capforest.certificates` cross-check at test scale, and the colors
 that last search reached form the violating color set. :func:`solve`
-returns the proof itself, the pruned forest or that certificate.
+returns the proof itself, the pruned forest or that certificate, and
+:func:`solve_every_target` returns it at every target from one
+maximisation.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .graph import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .certificates import Certificate
 
 
@@ -49,7 +56,10 @@ class ExchangeGraph:
     still has spare budget (an edge that is both is a zero-length
     augmenting path). Arcs run from a member edge to every outside edge
     whose forest path contains it, and from an outside edge with a
-    fully-used color to the member edges of that color.
+    fully-used color to the member edges of that color. Building the
+    structure roots the forest and splits the outside edges into sources
+    and inside edges (both endpoints in one component); it stores no
+    member arcs, which the search builds only when it needs them.
 
     The graph is the forest's host. The forest must respect ``caps``;
     otherwise the constructor raises :class:`PreconditionError`. The forest
@@ -99,7 +109,8 @@ class ExchangeGraph:
                         stack.append(y)
 
         member_set = frozenset(forest.members)
-        arcs: dict[int, list[int]] = {i: [] for i in forest.members}
+        # outside edges joining a component to itself, in index order
+        inside: list[int] = []
         # color -> its smallest-index outside edge joining two components;
         # colors enter in increasing index order, so the values are sorted
         first_source: dict[str, int] = {}
@@ -108,12 +119,8 @@ class ExchangeGraph:
                 continue
             if label[a] != label[b]:
                 first_source.setdefault(color, i)
-                continue
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                arcs[parent_edge[a]].append(i)
-                a = parent[a]
+            else:
+                inside.append(i)
 
         self.sources: list[int] = list(first_source.values())
         self.forest = forest
@@ -122,7 +129,63 @@ class ExchangeGraph:
         self._edges = edges
         self._member_set = member_set
         self._members_by_color = members_by_color
-        self._arcs_from_member = arcs
+        self._inside = inside
+        self._tree = parent, parent_edge, depth
+
+    def _sinks(self) -> list[int]:
+        """The inside edges whose color has spare budget, in index order.
+
+        Each color's budget is read once, at its first inside edge.
+        """
+        edges, caps, by_color = self._edges, self.caps, self._members_by_color
+        spare: dict[str, bool] = {}
+        sinks = []
+        for i in self._inside:
+            color = edges[i][2]
+            s = spare.get(color)
+            if s is None:
+                s = spare[color] = len(by_color.get(color, ())) < caps.cap(color)
+            if s:
+                sinks.append(i)
+        return sinks
+
+    def _first_sink_on(self, layer: set[int]) -> tuple[int, int] | None:
+        """The first sink whose forest path holds a member of ``layer``.
+
+        Returns that sink and the smallest-index such member, or None when
+        no sink's path meets the layer.
+        """
+        edges = self._edges
+        parent, parent_edge, depth = self._tree
+        for sink in self._sinks():
+            a, b, _ = edges[sink]
+            hits = []
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                member = parent_edge[a]
+                if member in layer:
+                    hits.append(member)
+                a = parent[a]
+            if hits:
+                return sink, min(hits)
+        return None
+
+    def _arcs_from_members(self) -> dict[int, list[int]]:
+        """Every member's inside edges: those whose forest path holds it."""
+        edges = self._edges
+        parent, parent_edge, depth = self._tree
+        arcs: dict[int, list[int]] = {i: [] for i in self.forest.members}
+        # the sink check's climb, inlined in both: a shared helper returning
+        # the path made these builds about 15% slower
+        for i in self._inside:
+            a, b, _ = edges[i]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                arcs[parent_edge[a]].append(i)
+                a = parent[a]
+        return arcs
 
     def shortest_augmenting_path(self) -> list[int] | None:
         """Shortest source-to-sink path, or None when the forest is maximum.
@@ -132,16 +195,28 @@ class ExchangeGraph:
         half-step stops at the first edge whose color has spare budget and
         otherwise expands each color once, from its first edge, to all its
         members; the member half-step claims the inside edges on the
-        members' forest paths. A color's budget is read when the search
-        first reaches it, so a missing one raises
-        :class:`~capforest.errors.MissingCapacityError` here. When no path
-        exists, every reached outside edge has a full color (else it is a
-        sink), and the colors expanded are kept in ``reached_colors``.
+        members' forest paths. When no path exists, every reached outside
+        edge has a full color (else it is a sink), and the colors expanded
+        are kept in ``reached_colors``.
+
+        Most paths end one member half-step after the sources, so the first
+        member half-step runs the sink check instead: the sinks are the
+        inside edges with spare budget, none of them reached yet, and the
+        first whose forest path holds a member of the layer is the first
+        sink of the next outside layer, with the smallest-index such member
+        as its parent. Only when the check misses are the member ->
+        inside-edge arcs built, and that layer and every later one expand by
+        them.
+
+        A color's budget is read when the search first reaches it, and the
+        sink check reads those of the inside edges' colors, so a missing one
+        raises :class:`~capforest.errors.MissingCapacityError` here.
         """
         edges, caps = self._edges, self.caps
-        arcs, by_color = self._arcs_from_member, self._members_by_color
+        by_color = self._members_by_color
         parent: dict[int, int | None] = dict.fromkeys(self.sources)
         expanded: set[str] = set()
+        arcs: dict[int, list[int]] | None = None
         outside = self.sources
         while outside:
             # outside half-step: a color's first edge is a sink or expands it
@@ -152,16 +227,19 @@ class ExchangeGraph:
                     continue
                 same = by_color.get(color, ())
                 if len(same) < caps.cap(color):
-                    path = []
-                    cur: int | None = node
-                    while cur is not None:
-                        path.append(cur)
-                        cur = parent[cur]
-                    return path[::-1]
+                    return _path_to(parent, node)
                 expanded.add(color)
                 parent.update(dict.fromkeys(same, node))
                 reached += same
+            if not reached:
+                break
             # member half-step: members claim the inside edges on their paths
+            if arcs is None:
+                hit = self._first_sink_on(set(reached))
+                if hit is not None:
+                    sink, member = hit
+                    return [*_path_to(parent, member), sink]
+                arcs = self._arcs_from_members()
             nxt = []
             for node in sorted(reached):
                 for nb in arcs[node]:
@@ -171,6 +249,16 @@ class ExchangeGraph:
             outside = sorted(nxt)
         self.reached_colors = frozenset(expanded)
         return None
+
+
+def _path_to(parent: dict[int, int | None], node: int) -> list[int]:
+    """The search path from a source to ``node``, following ``parent``."""
+    path = []
+    cur: int | None = node
+    while cur is not None:
+        path.append(cur)
+        cur = parent[cur]
+    return path[::-1]
 
 
 def augment_step(search: ExchangeGraph) -> ExchangeGraph | None:
@@ -265,6 +353,20 @@ def prune_to_components(forest: Forest, components: int) -> Forest:
     return Forest(forest.host, forest.members[: forest.size - excess])
 
 
+def _verdict(search: ExchangeGraph, components: int) -> Forest | Certificate:
+    """The answer at target ``components`` from the final search.
+
+    The maximum forest pruned to ``components`` parts when it has enough
+    edges, otherwise the certificate read off the search's reached colors.
+    """
+    forest = search.forest
+    if forest.size >= forest.host.n - components:
+        return prune_to_components(forest, components)
+    from .certificates import extract_certificate
+
+    return extract_certificate(search, components)
+
+
 def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> Forest | Certificate:
     """Spanning forest with exactly ``components`` parts within ``caps``.
 
@@ -274,9 +376,18 @@ def solve(g: ColoredGraph, caps: CapacityMap, components: int) -> Forest | Certi
     off the final search, the one that finds no augmenting path.
     """
     check_component_target(g.n, components)
-    search = _final_search(g, caps)
-    if search.forest.size >= g.n - components:
-        return prune_to_components(search.forest, components)
-    from .certificates import extract_certificate
+    return _verdict(_final_search(g, caps), components)
 
-    return extract_certificate(search, components)
+
+def solve_every_target(
+    g: ColoredGraph, caps: CapacityMap
+) -> Iterator[Forest | Certificate]:
+    """``solve(g, caps, m)`` for m = 1..n, in order, from one maximisation.
+
+    The maximum forest does not depend on the target, so the final search
+    runs once, before the first verdict; each verdict is then pruned or
+    certified from it exactly as :func:`solve` does.
+    """
+    search = _final_search(g, caps)
+    for components in range(1, g.n + 1):
+        yield _verdict(search, components)

@@ -468,6 +468,25 @@ class TestSolveGoldenAtScale:
             "1cdd5810e33de78e1488ef1f94d16c4b3965a6acdca791fe209a821f6f8285ce"
         )
 
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_rainbow_2000(self, tmp_path, hash_seed):
+        # rainbow G(2000, 0.01): 19,840 edges and 99 augmentations, 96 of
+        # them ending at a sink one layer out; pinned before the sink check
+        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
+        assert cli.main(["gen", "--model", "gnp", "--n", "2000", "--p", "0.01",
+                         "--colors", "2000", "--seed", "3", "--out", str(inst)]) == 0
+        sidecar.write_text("fdefault 1\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
+             "--caps", str(sidecar), "--json"],
+            env=env, capture_output=True, check=False, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == (
+            "3b629723b6e87a75a1f90a7c5055413fccfaa2a8e286ce38ab0d2be917fd7705"
+        )
+
     def test_path_and_chords_8000(self, tmp_path):
         # a path 0..n-1 of color p, chords (i, i + n/2) of color q with
         # budget 0, and one more p edge to vertex n: m = 1 is impossible,
@@ -665,7 +684,11 @@ class TestSweepCommand:
         def broken(g, caps, components):
             return Forest(g)
 
+        def broken_every_target(g, caps):
+            return (Forest(g) for _ in range(g.n))
+
         monkeypatch.setattr(sweeps, "solve", broken)
+        monkeypatch.setattr(sweeps, "solve_every_target", broken_every_target)
         report = sweeps.run_oracle_agreement(20, 5)
         assert not report.ok
         assert report.first_failing_key is not None

@@ -14,12 +14,19 @@ from capforest import (
     InternalSolverError,
     MissingCapacityError,
     PreconditionError,
+    component_count,
     generate,
     maximize_forest,
     prune_to_components,
     solve,
 )
-from capforest.engine import ExchangeGraph, _final_search, augment_step
+from capforest import engine
+from capforest.engine import (
+    ExchangeGraph,
+    _final_search,
+    augment_step,
+    solve_every_target,
+)
 from capforest.sweeps import sample_solver_instance
 
 
@@ -311,6 +318,58 @@ class TestExchangeArcs:
         assert search.forest.size == sum(1 + j % 3 for j in range(8))
         assert len(search.sources) <= 8
         assert search.reached_colors == {f"c{j}" for j in range(8)}
+
+
+def every_target_equals_solve(key, g, caps):
+    # Records compare by fields: the same forest members, or the same
+    # violating colors, omega and bound
+    expected = [solve(g, caps, m) for m in range(1, g.n + 1)]
+    assert list(solve_every_target(g, caps)) == expected, key
+
+
+class TestSolveEveryTarget:
+    def test_seeded_instances(self):
+        for key, g, caps in seeded_instances():
+            every_target_equals_solve(key, g, caps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances())
+    def test_random_instances(self, instance):
+        every_target_equals_solve("hypothesis", *instance)
+
+    def test_one_maximisation_per_call(self, monkeypatch):
+        calls = []
+        real = engine._greedy_forest
+
+        def greedy(g, caps):
+            calls.append(g)
+            return real(g, caps)
+
+        monkeypatch.setattr(engine, "_greedy_forest", greedy)
+        g, caps = gnp_instance(3)
+        verdicts = list(solve_every_target(g, caps))
+        assert len(verdicts) == g.n and len(calls) == 1
+        assert any(isinstance(v, Forest) for v in verdicts)
+        assert any(isinstance(v, Certificate) for v in verdicts)
+
+
+class TestDualityAtScale:
+    def test_final_search_colors_prove_the_forest_maximum(self):
+        # Edmonds' min-max equality, at sizes the exhaustive oracles cannot
+        # reach: the colors R that the final search reached leave exactly
+        # n - |F| components once their edges are deleted and their budget
+        # is spent, so no forest has fewer components than the solver's
+        for index in range(400):
+            rng = random.Random(f"duality:{index}")
+            n, colors = rng.randint(30, 200), rng.randint(1, 8)
+            p = rng.uniform(1, 8) / (n - 1)  # average degree 1-8
+            g = generate(GenSpec(index, n, p=p, palette_size=colors))
+            caps = CapacityMap({f"c{j}": rng.randint(0, n // colors) for j in range(colors)})
+            search = _final_search(g, caps)
+            reached = search.reached_colors
+            assert component_count(g, reached) - caps.total(reached) == (
+                n - search.forest.size
+            ), f"duality:{index}"
 
 
 class TestPrune:

@@ -46,11 +46,12 @@ def test_a_changed_tie_break_is_caught(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     engine = tmp_path / "src" / "capforest" / "engine.py"
     text = engine.read_text()
-    # members claim inside edges in decreasing index order: each layer holds
-    # the same edges, but some are claimed by another member
-    ascending = "for node in sorted(reached):"
-    assert ascending in text
-    engine.write_text(text.replace(ascending, "for node in sorted(reached, reverse=True):"))
+    # the sink check hands a sink to the largest-index layer member on its
+    # forest path instead of the smallest: the search ends at the same sink,
+    # by another member
+    smallest = "return sink, min(hits)"
+    assert smallest in text
+    engine.write_text(text.replace(smallest, "return sink, max(hits)"))
     report = parity.compare(ROOT, tmp_path, SMALL)
     key, before, after = report.mismatches[0]
     assert key.endswith(" paths") and len(before) == len(after), key

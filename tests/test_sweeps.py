@@ -32,22 +32,29 @@ def hook_instances(monkeypatch, on_instance):
 
 
 def rig_solver(monkeypatch, failing):
-    """Make ``sweeps.solve`` wrong on the instances whose index is in ``failing``.
+    """Make ``sweeps.solve`` and ``sweeps.solve_every_target`` wrong on the
+    instances whose index is in ``failing``.
 
     The wrong verdict is the opposite of the right one, so every law
     records a failure there.
     """
     current = {}
     hook_instances(monkeypatch, lambda law, index: current.update(index=index))
-    real_solve = sweeps.solve
+    real_solve, real_every_target = sweeps.solve, sweeps.solve_every_target
 
-    def solve(g, caps, components):
-        verdict = real_solve(g, caps, components)
+    def rigged(g, verdict):
         if current["index"] not in failing:
             return verdict
         return None if isinstance(verdict, Forest) else Forest(g)
 
+    def solve(g, caps, components):
+        return rigged(g, real_solve(g, caps, components))
+
+    def solve_every_target(g, caps):
+        return (rigged(g, verdict) for verdict in real_every_target(g, caps))
+
     monkeypatch.setattr(sweeps, "solve", solve)
+    monkeypatch.setattr(sweeps, "solve_every_target", solve_every_target)
 
 
 # The class names predate the one-process sweep; they are kept so that the
