@@ -5,7 +5,7 @@ failure: deleting every ``R``-colored edge leaves strictly more components
 than the target plus the total budget of ``R``, so no forest could bridge
 the gap. :func:`extract_certificate` takes the colors that the solver's
 final exchange-graph search reached, the one that finds no augmenting
-path, and re-verifies them by deleting the colors and counting components.
+path, whose component count the maximiser has already checked.
 The oracle functions answer the same question by brute force and exist to
 cross-check the solver on small instances; they must stay independent of
 the augmenting-path machinery. :func:`oracle_condition` answers it for one
@@ -112,25 +112,15 @@ def extract_certificate(search: ExchangeGraph, components: int) -> Certificate:
     :meth:`~capforest.engine.ExchangeGraph.shortest_augmenting_path` came
     up empty on a forest short of ``n - components`` edges, and the graph
     and the budgets are the search's own. The violating set is
-    ``search.reached_colors``, the colors of the outside edges the search
-    reached: by Edmonds' matroid intersection min-max theorem the reached
-    set is a minimum cut, so deleting its colors leaves ``n - |F|``
-    components plus their budget. Rather than trust this, the components
-    are recounted: a count off that equality means the forest is not
-    maximum, an :class:`InternalSolverError`, and :class:`Certificate`
-    refuses the set unless the inequality is violated strictly.
+    ``search.reached_colors``: the maximiser has proven, by one component
+    count, that deleting them leaves ``n - |F|`` components plus their
+    budget, the count reported here. :class:`Certificate` refuses the set
+    unless the inequality is violated strictly.
     """
     forest = search.forest
-    g = forest.host
-    violating = search.reached_colors
-    remaining, budget = evaluate_condition(g, search.caps, components, violating)
-    if remaining - (budget - components) != g.n - forest.size:
-        raise InternalSolverError(
-            f"the forest is not maximum: {remaining} components without the "
-            f"reached colors, minus their budget {budget - components}, "
-            f"is not n - |F| = {g.n - forest.size}"
-        )
-    return Certificate(violating, remaining, budget)
+    violating = color_set(search.reached_colors)
+    spent = search.caps.total(violating)
+    return Certificate(violating, forest.host.n - forest.size + spent, components + spent)
 
 
 def _color_sets(

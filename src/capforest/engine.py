@@ -16,15 +16,16 @@ works color by color: all outside edges of one fully-used color reach the
 same forest edges, so it starts from one source per color and claims a
 color's forest edges once, alternating outside and member half-steps.
 Most chains end one member half-step out, so the first member half-step
-looks for a sink whose forest path meets the layer, and only when none
-does are the member arcs built.
+walks the sinks in index order and stops at the first whose forest path
+meets the layer; only when none does are the member arcs built.
 When no chain exists the forest has maximum size among all
-capacity-respecting forests, which the exhaustive oracles in
-:mod:`capforest.certificates` cross-check at test scale, and the colors
-that last search reached form the violating color set. :func:`solve`
-returns the proof itself, the pruned forest or that certificate, and
-:func:`solve_every_target` returns it at every target from one
-maximisation.
+capacity-respecting forests. One component count without the colors that
+last search reached proves it, for every verdict, by Edmonds' min-max
+equality (the exhaustive oracles in :mod:`capforest.certificates`
+cross-check it at test scale), and those colors form the violating color
+set. :func:`solve` returns the proof itself, the pruned forest or that
+certificate, and :func:`solve_every_target` returns it at every target
+from one maximisation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graph import (
     DisjointSet,
     Forest,
     check_component_target,
+    component_count,
 )
 
 if TYPE_CHECKING:
@@ -58,8 +60,9 @@ class ExchangeGraph:
     whose forest path contains it, and from an outside edge with a
     fully-used color to the member edges of that color. Building the
     structure roots the forest and splits the outside edges into sources
-    and inside edges (both endpoints in one component); it stores no
-    member arcs, which the search builds only when it needs them.
+    and inside edges (both endpoints in one component) and notes which
+    member colors have spare budget; the search builds member arcs only
+    when it needs them.
 
     The graph is the forest's host. The forest must respect ``caps``;
     otherwise the constructor raises :class:`PreconditionError`. The forest
@@ -75,11 +78,13 @@ class ExchangeGraph:
         members_by_color: dict[str, list[int]] = {}
         for i in forest.members:
             members_by_color.setdefault(edges[i].color, []).append(i)
+        spare: dict[str, bool] = {}  # color -> budget left; others enter when read
         for color, members in members_by_color.items():
-            if len(members) > caps.cap(color):
+            if len(members) > (cap := caps.cap(color)):
                 raise PreconditionError(
                     f"forest already exceeds the capacity of color {color!r}"
                 )
+            spare[color] = len(members) < cap
 
         # Root every component at its smallest vertex, which also labels
         # the component; the forest path of an inside edge is then the two
@@ -129,25 +134,9 @@ class ExchangeGraph:
         self._edges = edges
         self._member_set = member_set
         self._members_by_color = members_by_color
+        self._spare = spare
         self._inside = inside
         self._tree = parent, parent_edge, depth
-
-    def _sinks(self) -> list[int]:
-        """The inside edges whose color has spare budget, in index order.
-
-        Each color's budget is read once, at its first inside edge.
-        """
-        edges, caps, by_color = self._edges, self.caps, self._members_by_color
-        spare: dict[str, bool] = {}
-        sinks = []
-        for i in self._inside:
-            color = edges[i][2]
-            s = spare.get(color)
-            if s is None:
-                s = spare[color] = len(by_color.get(color, ())) < caps.cap(color)
-            if s:
-                sinks.append(i)
-        return sinks
 
     def _first_sink_on(self, layer: set[int]) -> tuple[int, int] | None:
         """The first sink whose forest path holds a member of ``layer``.
@@ -155,10 +144,14 @@ class ExchangeGraph:
         Returns that sink and the smallest-index such member, or None when
         no sink's path meets the layer.
         """
-        edges = self._edges
+        edges, caps, spare = self._edges, self.caps, self._spare
         parent, parent_edge, depth = self._tree
-        for sink in self._sinks():
-            a, b, _ = edges[sink]
+        for sink in self._inside:
+            a, b, color = edges[sink]
+            if (s := spare.get(color)) is None:
+                s = spare[color] = caps.cap(color) > 0
+            if not s:
+                continue
             hits = []
             while a != b:
                 if depth[a] < depth[b]:
@@ -208,12 +201,13 @@ class ExchangeGraph:
         inside-edge arcs built, and that layer and every later one expand by
         them.
 
-        A color's budget is read when the search first reaches it, and the
-        sink check reads those of the inside edges' colors, so a missing one
-        raises :class:`~capforest.errors.MissingCapacityError` here.
+        A color without forest edges has its budget read when the search or
+        the sink check first meets it, and the sink check stops at its first
+        hit, so a missing budget raises
+        :class:`~capforest.errors.MissingCapacityError` only when it is read.
         """
         edges, caps = self._edges, self.caps
-        by_color = self._members_by_color
+        by_color, spare = self._members_by_color, self._spare
         parent: dict[int, int | None] = dict.fromkeys(self.sources)
         expanded: set[str] = set()
         arcs: dict[int, list[int]] | None = None
@@ -225,10 +219,12 @@ class ExchangeGraph:
                 color = edges[node].color
                 if color in expanded:
                     continue
-                same = by_color.get(color, ())
-                if len(same) < caps.cap(color):
+                if (s := spare.get(color)) is None:
+                    s = spare[color] = caps.cap(color) > 0
+                if s:
                     return _path_to(parent, node)
                 expanded.add(color)
+                same = by_color.get(color, ())
                 parent.update(dict.fromkeys(same, node))
                 reached += same
             if not reached:
@@ -315,11 +311,23 @@ def _final_search(g: ColoredGraph, caps: CapacityMap) -> ExchangeGraph:
     """The search that finds no augmenting path, run on a maximum forest.
 
     Starts from the greedy forest of :func:`_greedy_forest` and augments to
-    a fixpoint; the returned search holds that forest and its reached colors.
+    a fixpoint; the returned search holds that forest and its reached colors
+    ``R``. Short of a spanning tree, one count proves the forest maximum:
+    no forest has fewer than ``omega(G - E_R) - f(R)`` components, so that
+    must equal ``n - |F|``, else an :class:`InternalSolverError` is raised.
     """
     search = ExchangeGraph(caps, _greedy_forest(g, caps))
     while (bigger := augment_step(search)) is not None:
         search = bigger
+    short = g.n - search.forest.size
+    if short > 1:
+        reached = search.reached_colors
+        remaining, spent = component_count(g, reached), caps.total(reached)
+        if remaining - spent != short:
+            raise InternalSolverError(
+                f"the forest is not maximum: {remaining} components without the "
+                f"reached colors, minus their budget {spent}, is not n - |F| = {short}"
+            )
     return search
 
 
@@ -330,7 +338,8 @@ def maximize_forest(g: ColoredGraph, caps: CapacityMap) -> Forest:
     a fixpoint. The result has the maximum edge count (equivalently, the
     minimum component count) over all capacity-respecting forests. It is
     the very forest that augmenting from the empty forest reaches, because
-    the greedy pass equals that run's leading length-0 augmentations.
+    the greedy pass equals that run's leading length-0 augmentations. A
+    forest it cannot prove maximum is an :class:`InternalSolverError`.
     """
     return _final_search(g, caps).forest
 

@@ -171,6 +171,25 @@ class TestSolveCommand:
             "the reached colors, minus their budget 0, is not n - |F| = 3\n"
         )
 
+    def test_found_target_short_of_maximum_exits_three(self, tmp_path, capsys, monkeypatch):
+        from capforest.engine import ExchangeGraph
+
+        def give_up(search):
+            search.reached_colors = frozenset()
+            return None
+
+        # at m = 3 the short forest has enough edges; the proof still objects
+        monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", give_up)
+        path = tmp_path / "inst.txt"
+        path.write_text("graph 5\nfdefault 1\ne 0 1 a\ne 2 3 a\ne 1 2 b\ne 0 2 c\n")
+        assert cli.main(["solve", str(path), "-m", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: the forest is not maximum: 2 components without "
+            "the reached colors, minus their budget 0, is not n - |F| = 3\n"
+        )
+
     def test_out_of_memory_exits_three(self, triangle_file, capsys, monkeypatch):
         def exhausted(g, caps, components):
             raise MemoryError

@@ -20,7 +20,7 @@ from capforest import (
     prune_to_components,
     solve,
 )
-from capforest import engine
+from capforest import certificates, engine
 from capforest.engine import (
     ExchangeGraph,
     _final_search,
@@ -152,6 +152,15 @@ class TestAugmentStep:
         with pytest.raises(MissingCapacityError, match="'b'"):
             search.shortest_augmenting_path()
 
+    def test_sink_check_stops_at_its_first_sink(self):
+        # source 3 expands the full color a to member 0, whose forest path
+        # holds the sink 4; the budget of z, on the later inside edge 5, is
+        # never read
+        g = ColoredGraph(5, [(0, 1, "a"), (1, 2, "b"), (2, 3, "b"), (3, 4, "a"),
+                             (0, 2, "s"), (0, 3, "z")])
+        search = ExchangeGraph(CapacityMap({"a": 1, "b": 2, "s": 1}), Forest(g, (0, 1, 2)))
+        assert search.shortest_augmenting_path() == [3, 0, 4]
+
 
 class TestStepSelfChecks:
     # a search that hands back a bad path must be caught by the step's own
@@ -204,6 +213,42 @@ class TestForestMaximumCheck:
             "the forest is not maximum: 2 components without the reached "
             "colors, minus their budget 0, is not n - |F| = 3"
         )
+
+    def test_found_target_is_proven_too(self, monkeypatch):
+        def give_up(search):
+            search.reached_colors = frozenset()
+            return None
+
+        # at m = 3 the greedy forest's two edges are enough, so only the
+        # maximality proof can tell that the search gave up early
+        g = ColoredGraph(5, [(0, 1, "a"), (2, 3, "a"), (1, 2, "b"), (0, 2, "c")])
+        caps = CapacityMap.uniform(1)
+        assert solve(g, caps, 3).members == (1, 2)
+        monkeypatch.setattr(ExchangeGraph, "shortest_augmenting_path", give_up)
+        with pytest.raises(InternalSolverError) as info:
+            solve(g, caps, 3)
+        assert str(info.value) == (
+            "the forest is not maximum: 2 components without the reached "
+            "colors, minus their budget 0, is not n - |F| = 3"
+        )
+
+    def test_proof_counts_once_per_maximisation(self, monkeypatch):
+        counted = []
+
+        def counting(g, without=frozenset()):
+            counted.append(without)
+            return component_count(g, without)
+
+        monkeypatch.setattr(engine, "component_count", counting, raising=False)
+        monkeypatch.setattr(certificates, "component_count", counting)
+        # a spanning tree needs no proof
+        assert isinstance(solve(triangle(), CapacityMap.uniform(1), 1), Forest)
+        assert counted == []
+        # one count for the star's one-edge forest, none per impossible target
+        star = ColoredGraph(6, [(0, i, "a") for i in range(1, 6)])
+        verdicts = list(solve_every_target(star, CapacityMap({"a": 1})))
+        assert [isinstance(v, Certificate) for v in verdicts] == [True] * 4 + [False] * 2
+        assert counted == [{"a"}]
 
 
 class TestMaximizeForest:
