@@ -15,9 +15,9 @@ has spare budget makes the forest one edge larger. The search for it
 works color by color: all outside edges of one fully-used color reach the
 same forest edges, so it starts from one source per color and claims a
 color's forest edges once, alternating outside and member half-steps.
-Most chains end one member half-step out, so the first member half-step
-walks the sinks in index order and stops at the first whose forest path
-meets the layer; only when none does are the member arcs built.
+A member half-step walks the sinks in index order and stops at the first
+whose forest path meets the layer; only after a miss does it claim the
+other inside edges whose paths meet it. Most chains end at that first stop.
 When no chain exists the forest has maximum size among all
 capacity-respecting forests. One component count without the colors that
 last search reached proves it, for every verdict, by Edmonds' min-max
@@ -56,13 +56,13 @@ class ExchangeGraph:
     of each color, in increasing index order, because the others reach
     nothing that the first does not. Sinks are outside edges whose color
     still has spare budget (an edge that is both is a zero-length
-    augmenting path). Arcs run from a member edge to every outside edge
-    whose forest path contains it, and from an outside edge with a
-    fully-used color to the member edges of that color. Building the
-    structure roots the forest and splits the outside edges into sources
-    and inside edges (both endpoints in one component) and notes which
-    member colors have spare budget; the search builds member arcs only
-    when it needs them.
+    augmenting path). Arcs run from an outside edge with a fully-used color
+    to the member edges of that color, and from a member edge to every
+    outside edge whose forest path contains it; the search finds the latter
+    by climbing forest paths and stores none. Building the structure roots
+    the forest, splits the outside edges into sources and inside edges (both
+    endpoints in one component) and notes which member colors have spare
+    budget.
 
     The graph is the forest's host. The forest must respect ``caps``;
     otherwise the constructor raises :class:`PreconditionError`. The forest
@@ -138,47 +138,39 @@ class ExchangeGraph:
         self._inside = inside
         self._tree = parent, parent_edge, depth
 
-    def _first_sink_on(self, layer: set[int]) -> tuple[int, int] | None:
-        """The first sink whose forest path holds a member of ``layer``.
+    def _member_half_step(self, layer: set[int], parent: dict[int, int | None]) -> list[int]:
+        """Claim the inside edges whose forest path holds a member of ``layer``.
 
-        Returns that sink and the smallest-index such member, or None when
-        no sink's path meets the layer.
+        Each claimed edge gets the smallest-index such member as its
+        ``parent``. The sinks are walked first, in index order, skipping full
+        colors without a climb: the first sink claimed is returned alone, and
+        ends the search at the next outside half-step. After a miss, the
+        unclaimed inside edges of full colors are claimed the same way, and
+        returned in index order as the next outside layer.
         """
         edges, caps, spare = self._edges, self.caps, self._spare
-        parent, parent_edge, depth = self._tree
-        for sink in self._inside:
-            a, b, color = edges[sink]
-            if (s := spare.get(color)) is None:
-                s = spare[color] = caps.cap(color) > 0
-            if not s:
-                continue
-            hits = []
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                member = parent_edge[a]
-                if member in layer:
-                    hits.append(member)
-                a = parent[a]
-            if hits:
-                return sink, min(hits)
-        return None
-
-    def _arcs_from_members(self) -> dict[int, list[int]]:
-        """Every member's inside edges: those whose forest path holds it."""
-        edges = self._edges
-        parent, parent_edge, depth = self._tree
-        arcs: dict[int, list[int]] = {i: [] for i in self.forest.members}
-        # the sink check's climb, inlined in both: a shared helper returning
-        # the path made these builds about 15% slower
-        for i in self._inside:
-            a, b, _ = edges[i]
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                arcs[parent_edge[a]].append(i)
-                a = parent[a]
-        return arcs
+        up, parent_edge, depth = self._tree
+        claimed = []
+        for sinks in (True, False):
+            for edge in self._inside:
+                a, b, color = edges[edge]
+                if (s := spare.get(color)) is None:
+                    s = spare[color] = caps.cap(color) > 0
+                if s != sinks or edge in parent:
+                    continue
+                hits = []
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    if (member := parent_edge[a]) in layer:
+                        hits.append(member)
+                    a = up[a]
+                if hits:
+                    parent[edge] = min(hits)
+                    if sinks:
+                        return [edge]
+                    claimed.append(edge)
+        return claimed
 
     def shortest_augmenting_path(self) -> list[int] | None:
         """Shortest source-to-sink path, or None when the forest is maximum.
@@ -188,29 +180,19 @@ class ExchangeGraph:
         half-step stops at the first edge whose color has spare budget and
         otherwise expands each color once, from its first edge, to all its
         members; the member half-step claims the inside edges on the
-        members' forest paths. When no path exists, every reached outside
-        edge has a full color (else it is a sink), and the colors expanded
-        are kept in ``reached_colors``.
+        members' forest paths, or only the first sink among them. When no
+        path exists, every reached outside edge has a full color (else it is
+        a sink), and the colors expanded are kept in ``reached_colors``.
 
-        Most paths end one member half-step after the sources, so the first
-        member half-step runs the sink check instead: the sinks are the
-        inside edges with spare budget, none of them reached yet, and the
-        first whose forest path holds a member of the layer is the first
-        sink of the next outside layer, with the smallest-index such member
-        as its parent. Only when the check misses are the member ->
-        inside-edge arcs built, and that layer and every later one expand by
-        them.
-
-        A color without forest edges has its budget read when the search or
-        the sink check first meets it, and the sink check stops at its first
-        hit, so a missing budget raises
-        :class:`~capforest.errors.MissingCapacityError` only when it is read.
+        A color without forest edges has its budget read when the search
+        first meets it, and a sink walk stops at its first hit, so a missing
+        budget raises :class:`~capforest.errors.MissingCapacityError` only
+        when it is read.
         """
         edges, caps = self._edges, self.caps
         by_color, spare = self._members_by_color, self._spare
         parent: dict[int, int | None] = dict.fromkeys(self.sources)
         expanded: set[str] = set()
-        arcs: dict[int, list[int]] | None = None
         outside = self.sources
         while outside:
             # outside half-step: a color's first edge is a sink or expands it
@@ -230,19 +212,7 @@ class ExchangeGraph:
             if not reached:
                 break
             # member half-step: members claim the inside edges on their paths
-            if arcs is None:
-                hit = self._first_sink_on(set(reached))
-                if hit is not None:
-                    sink, member = hit
-                    return [*_path_to(parent, member), sink]
-                arcs = self._arcs_from_members()
-            nxt = []
-            for node in sorted(reached):
-                for nb in arcs[node]:
-                    if nb not in parent:
-                        parent[nb] = node
-                        nxt.append(nb)
-            outside = sorted(nxt)
+            outside = self._member_half_step(set(reached), parent)
         self.reached_colors = frozenset(expanded)
         return None
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 from capforest import cli, sweeps
 from capforest.instance_io import MAX_VERTICES as MAX_INSTANCE_VERTICES
 from capforest.instance_io import parse_instance
@@ -509,14 +510,10 @@ class TestSolveGoldenAtScale:
     def test_path_and_chords_8000(self, tmp_path):
         # a path 0..n-1 of color p, chords (i, i + n/2) of color q with
         # budget 0, and one more p edge to vertex n: m = 1 is impossible,
-        # and the forest paths of the chords sum to about n^2 / 4 arcs
+        # and the forest paths of the chords sum to about n^2 / 4 edges
         n = 8000
-        lines = [f"graph {n + 1}"]
-        lines += [f"e {i} {i + 1} p" for i in range(n - 1)]
-        lines += [f"e {i} {i + n // 2} q" for i in range(n // 2)]
-        lines.append(f"e 0 {n} p")
         inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
-        inst.write_text("\n".join(lines) + "\n")
+        inst.write_text(helpers.load_tool("parity").chords(n))
         sidecar.write_text(f"f p {n - 1}\nf q 0\n")
         env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
         run = subprocess.run(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from capforest.engine import (
     augment_step,
     solve_every_target,
 )
+from capforest.instance_io import parse_instance
 from capforest.sweeps import sample_solver_instance
 
 
@@ -415,6 +417,29 @@ class TestDualityAtScale:
             assert component_count(g, reached) - caps.total(reached) == (
                 n - search.forest.size
             ), f"duality:{index}"
+
+
+class TestMemoryLaw:
+    # tracemalloc's peak of one solve, after a warm-up solve, stays linear in
+    # the edge count: no search may hold a pair per member and inside edge,
+    # as the arc lists did on path and chords (1669 to 5928 bytes per edge)
+    @pytest.mark.parametrize("family, n", [("chords", 1000), ("chords", 2000),
+                                           ("chords", 4000), ("rainbow", 600)])
+    def test_peak_bytes_per_edge(self, family, n):
+        if family == "chords":
+            g = parse_instance(helpers.load_tool("parity").chords(n)).graph
+            caps = CapacityMap({"p": n - 1, "q": 0})
+        else:
+            g = generate(GenSpec(3, n, p=0.04, palette_size=n))
+            caps = CapacityMap.uniform(1)
+        solve(g, caps, 1)
+        tracemalloc.start()
+        try:
+            solve(g, caps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * len(g.edges), f"{peak / len(g.edges):.0f} B/edge"
 
 
 class TestPrune:

@@ -1,14 +1,13 @@
 """``tools/parity.py`` finds no mismatch between a tree and itself, and
 finds one in a tree whose solver was changed."""
 
-import importlib.util
 import shutil
 from pathlib import Path
 
+import helpers
+
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
-parity = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(parity)
+parity = helpers.load_tool("parity")
 
 SMALL = parity.Corpus(
     samples=range(40),
@@ -46,12 +45,12 @@ def test_a_changed_tie_break_is_caught(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     engine = tmp_path / "src" / "capforest" / "engine.py"
     text = engine.read_text()
-    # the sink check hands a sink to the largest-index layer member on its
-    # forest path instead of the smallest: the search ends at the same sink,
-    # by another member
-    smallest = "return sink, min(hits)"
-    assert smallest in text
-    engine.write_text(text.replace(smallest, "return sink, max(hits)"))
+    # the member half-step hands an inside edge to the largest-index layer
+    # member on its forest path instead of the smallest: the search ends at
+    # the same sink, by another member
+    smallest = "parent[edge] = min(hits)"
+    assert text.count(smallest) == 1
+    engine.write_text(text.replace(smallest, "parent[edge] = max(hits)"))
     report = parity.compare(ROOT, tmp_path, SMALL)
     key, before, after = report.mismatches[0]
     assert key.endswith(" paths") and len(before) == len(after), key
