@@ -218,13 +218,18 @@ class ExchangeGraph:
 
 
 def _path_to(parent: dict[int, int | None], node: int) -> list[int]:
-    """The search path from a source to ``node``, following ``parent``."""
-    path = []
-    cur: int | None = node
-    while cur is not None:
+    """The search path from a source to ``node``, following ``parent``.
+
+    No path has more nodes than ``parent`` has keys; a longer walk is a
+    parent cycle, which only a search bug can make.
+    """
+    path = [node]
+    for _ in range(len(parent)):
+        cur = parent[path[-1]]
+        if cur is None:
+            return path[::-1]
         path.append(cur)
-        cur = parent[cur]
-    return path[::-1]
+    raise InternalSolverError(f"search parents form a cycle above edge #{node}")
 
 
 def augment_step(search: ExchangeGraph) -> ExchangeGraph | None:

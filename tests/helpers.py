@@ -7,22 +7,25 @@ from ``capforest`` it may import only ``capforest.graph``. The reference
 search restates the solver's augmenting-path search over the explicit
 exchange graph, so that the solver's tests pin which paths it takes, not
 how it finds them. :func:`load_tool` loads a script from ``tools/``, so
-that the tests build instances such as ``chords(n)`` where the tools do.
+that the tests read the named cases of ``tools/cases.py``, such as
+``chords(n)`` and ``deg20(n)``, where the tools do.
 """
 
-import importlib.util
+import importlib
+import sys
 from collections import Counter, deque
 from itertools import combinations
 from pathlib import Path
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
 
 def load_tool(name):
-    """The script ``tools/<name>.py`` as a module; ``tools`` is no package."""
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """The script ``tools/<name>.py`` as a module. ``tools`` is no package;
+    it goes on the import path, where the scripts find each other."""
+    if str(TOOLS) not in sys.path:
+        sys.path.append(str(TOOLS))
+    return importlib.import_module(name)
 
 
 def bfs_component_count(n, edges):

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import helpers
 from capforest import cli, sweeps
 from capforest.instance_io import MAX_VERTICES as MAX_INSTANCE_VERTICES
 from capforest.instance_io import parse_instance
@@ -392,52 +391,38 @@ class TestSolveGoldenImpossible:
         )
 
 
-# `solve --json` at bench scale: `gen --model gnp` arguments, the budget
-# sidecar, m, the exit code and the sha256 of stdout. Recorded once; a
-# change to the solver must reproduce them and may never re-record them.
+# `solve --json` at scale: a case of `tools/cases.py`, m, the exit code and
+# the sha256 of stdout. Recorded once; a change to the solver must
+# reproduce them and may never re-record them.
 GOLDEN_AT_SCALE = {
     # rainbow G(600, 0.04): 7129 edges, 28 augmentations after the greedy pass
-    "rainbow-600": (
-        ("--n", "600", "--p", "0.04", "--colors", "600", "--seed", "3"),
-        "fdefault 1\n", 1, 0,
-        "b94c6d9e82df8f839fcdfe5fe494944f6139452337a05ce2d418d458d585fc51",
-    ),
-    # sparse rainbow G(120, 0.05) on 130 colors: augmenting paths of 5 and
-    # 7 nodes
-    "sparse-rainbow-120": (
-        ("--n", "120", "--p", "0.05", "--colors", "130", "--seed", "2"),
-        "fdefault 1\n", 1, 0,
-        "6e75eeace5720cbc461a020bd4601abc45c1bcd0fc8f24675b2975ad4be90422",
+    "rainbow-600": (1, 0, "b94c6d9e82df8f839fcdfe5fe494944f6139452337a05ce2d418d458d585fc51"),
+    # augmenting paths of 5 and 7 nodes
+    "sparse-rainbow-120-seed2": (
+        1, 0, "6e75eeace5720cbc461a020bd4601abc45c1bcd0fc8f24675b2975ad4be90422",
     ),
     # the maximum forest has 99 edges; m = 10 prunes 9 of them
-    "prune-100": (
-        ("--n", "100", "--p", "0.3", "--colors", "100", "--seed", "1"),
-        "fdefault 1\n", 10, 0,
-        "8310b8b1d5d74167001f79341b80fd9fc0aec437e387919552e4e5d193092550",
-    ),
+    "prune-100": (10, 0, "8310b8b1d5d74167001f79341b80fd9fc0aec437e387919552e4e5d193092550"),
     # impossible: in the final search 357 outside edges of c0 still have
     # spare budget, and none of them is reachable from the one source, the
     # first of the 18 c1 edges that join two components
-    "impossible-300": (
-        ("--n", "300", "--p", "0.03", "--colors", "2", "--seed", "2"),
-        "f c0 1000\nf c1 1\n", 1, 1,
-        "7ba87dcb8c5b2df7484dbf57f70aa69ebf8a4ae855b30446ae9a0a67988ab3fe",
+    "impossible-300": (1, 1, "7ba87dcb8c5b2df7484dbf57f70aa69ebf8a4ae855b30446ae9a0a67988ab3fe"),
+    # the impossible-fewcolor bench shape: the final search reaches all 8
+    # colors, so all 8 violate
+    "fewcolor-8-seed5": (
+        1, 1, "d963bbd0ebb781d13a8422bff5ab9c26d24f3206dcadb99f35e76535219b0721",
     ),
-    # the impossible-fewcolor bench shape: 8 colors with budgets 1-3 on
-    # about 24k edges; the final search reaches all 8, so all 8 violate
-    "impossible-fewcolor-400": (
-        ("--n", "400", "--p", "0.3", "--colors", "8", "--seed", "5"),
-        "fdefault 1\n" + "".join(f"f c{j} {1 + j % 3}\n" for j in range(8)), 1, 1,
-        "d963bbd0ebb781d13a8422bff5ab9c26d24f3206dcadb99f35e76535219b0721",
-    ),
-    # impossible k-bounded G(400, 0.05): 3945 edges on 60 colors of at most
-    # 80 edges; the one search finds no path, after reaching all 60 colors
-    # layer by layer, so all 60 violate
-    "many-layer-400": (
-        ("--n", "400", "--p", "0.05", "--colors", "60", "--k", "80", "--seed", "3"),
-        "fdefault 5\n", 1, 1,
-        "f67653194dca1dda29ba5da2b122b3bb3da86bc33376f4c978597a17b87d01c8",
-    ),
+    # the one search finds no path, after reaching all 60 colors layer by
+    # layer, so all 60 violate
+    "many-layer-400": (1, 1, "f67653194dca1dda29ba5da2b122b3bb3da86bc33376f4c978597a17b87d01c8"),
+    "rainbow-1200": (1, 0, "1cdd5810e33de78e1488ef1f94d16c4b3965a6acdca791fe209a821f6f8285ce"),
+    # 99 augmentations, 96 of them ending at a sink one layer out
+    "rainbow-2000": (1, 0, "3b629723b6e87a75a1f90a7c5055413fccfaa2a8e286ce38ab0d2be917fd7705"),
+    # impossible, and the forest paths of the chords sum to about n^2 / 4
+    # edges
+    "chords-8000": (1, 1, "fef75d873cedede7a5c5dd7cd590bd391f6efc592f7462cb4031709937dff924"),
+    # 20,000 edges and 90 searches
+    "deg20-2000": (1, 0, "a094fe7f90ca211cbe2c82ed9374fa52adb1f9959f370023bbbee47040c31526"),
 }
 
 
@@ -446,22 +431,26 @@ class TestSolveGoldenAtScale:
         "name, hash_seed",
         [
             ("rainbow-600", "0"),
-            ("sparse-rainbow-120", "0"),
-            ("sparse-rainbow-120", "4242"),
+            ("sparse-rainbow-120-seed2", "0"),
+            ("sparse-rainbow-120-seed2", "4242"),
             ("prune-100", "0"),
             ("impossible-300", "0"),
             ("impossible-300", "4242"),
-            ("impossible-fewcolor-400", "0"),
-            ("impossible-fewcolor-400", "4242"),
+            ("fewcolor-8-seed5", "0"),
+            ("fewcolor-8-seed5", "4242"),
             ("many-layer-400", "0"),
             ("many-layer-400", "4242"),
+            ("rainbow-1200", "0"),
+            ("rainbow-2000", "0"),
+            ("rainbow-2000", "4242"),
+            ("chords-8000", "0"),
+            ("deg20-2000", "0"),
+            ("deg20-2000", "4242"),
         ],
     )
-    def test_solve_json_bytes(self, tmp_path, name, hash_seed):
-        gen_args, caps, m, code, digest = GOLDEN_AT_SCALE[name]
-        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
-        assert cli.main(["gen", "--model", "gnp", *gen_args, "--out", str(inst)]) == 0
-        sidecar.write_text(caps)
+    def test_solve_json_bytes(self, case_files, name, hash_seed):
+        m, code, digest = GOLDEN_AT_SCALE[name]
+        inst, sidecar = case_files(name)
         env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
         run = subprocess.run(
             [sys.executable, "-m", "capforest", "solve", str(inst), "-m", str(m),
@@ -470,61 +459,6 @@ class TestSolveGoldenAtScale:
         )
         assert run.returncode == code, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest
-
-    def test_rainbow_1200(self, tmp_path):
-        # rainbow G(1200, 0.0167), pinned before the search is rewritten
-        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
-        assert cli.main(["gen", "--model", "gnp", "--n", "1200", "--p", "0.0167",
-                         "--colors", "1200", "--seed", "3", "--out", str(inst)]) == 0
-        sidecar.write_text("fdefault 1\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
-        run = subprocess.run(
-            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
-             "--caps", str(sidecar), "--json"],
-            env=env, capture_output=True, check=False, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
-        assert hashlib.sha256(run.stdout).hexdigest() == (
-            "1cdd5810e33de78e1488ef1f94d16c4b3965a6acdca791fe209a821f6f8285ce"
-        )
-
-    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
-    def test_rainbow_2000(self, tmp_path, hash_seed):
-        # rainbow G(2000, 0.01): 19,840 edges and 99 augmentations, 96 of
-        # them ending at a sink one layer out; pinned before the sink check
-        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
-        assert cli.main(["gen", "--model", "gnp", "--n", "2000", "--p", "0.01",
-                         "--colors", "2000", "--seed", "3", "--out", str(inst)]) == 0
-        sidecar.write_text("fdefault 1\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
-        run = subprocess.run(
-            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
-             "--caps", str(sidecar), "--json"],
-            env=env, capture_output=True, check=False, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
-        assert hashlib.sha256(run.stdout).hexdigest() == (
-            "3b629723b6e87a75a1f90a7c5055413fccfaa2a8e286ce38ab0d2be917fd7705"
-        )
-
-    def test_path_and_chords_8000(self, tmp_path):
-        # a path 0..n-1 of color p, chords (i, i + n/2) of color q with
-        # budget 0, and one more p edge to vertex n: m = 1 is impossible,
-        # and the forest paths of the chords sum to about n^2 / 4 edges
-        n = 8000
-        inst, sidecar = tmp_path / "inst.txt", tmp_path / "inst.caps"
-        inst.write_text(helpers.load_tool("parity").chords(n))
-        sidecar.write_text(f"f p {n - 1}\nf q 0\n")
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
-        run = subprocess.run(
-            [sys.executable, "-m", "capforest", "solve", str(inst), "-m", "1",
-             "--caps", str(sidecar), "--json"],
-            env=env, capture_output=True, check=False, timeout=120,
-        )
-        assert run.returncode == 1, run.stderr
-        assert hashlib.sha256(run.stdout).hexdigest() == (
-            "fef75d873cedede7a5c5dd7cd590bd391f6efc592f7462cb4031709937dff924"
-        )
 
 
 class TestGenCommand:

@@ -25,10 +25,11 @@ from capforest import certificates, engine
 from capforest.engine import (
     ExchangeGraph,
     _final_search,
+    _path_to,
     augment_step,
     solve_every_target,
 )
-from capforest.instance_io import parse_instance
+from capforest.instance_io import parse_capacity_file, parse_instance
 from capforest.sweeps import sample_solver_instance
 
 
@@ -192,6 +193,11 @@ class TestStepSelfChecks:
         with pytest.raises(InternalSolverError) as info:
             solve(make_graph(), caps, 1)
         assert str(info.value) == message
+
+    def test_parent_cycle_is_an_internal_error(self):
+        # a search bug that leaves a parent cycle must not loop forever
+        with pytest.raises(InternalSolverError, match="cycle above edge #0"):
+            _path_to({0: 1, 1: 0}, 0)
 
 
 class TestForestMaximumCheck:
@@ -423,15 +429,12 @@ class TestMemoryLaw:
     # tracemalloc's peak of one solve, after a warm-up solve, stays linear in
     # the edge count: no search may hold a pair per member and inside edge,
     # as the arc lists did on path and chords (1669 to 5928 bytes per edge)
-    @pytest.mark.parametrize("family, n", [("chords", 1000), ("chords", 2000),
-                                           ("chords", 4000), ("rainbow", 600)])
-    def test_peak_bytes_per_edge(self, family, n):
-        if family == "chords":
-            g = parse_instance(helpers.load_tool("parity").chords(n)).graph
-            caps = CapacityMap({"p": n - 1, "q": 0})
-        else:
-            g = generate(GenSpec(3, n, p=0.04, palette_size=n))
-            caps = CapacityMap.uniform(1)
+    @pytest.mark.parametrize("name", ["chords-1000", "chords-2000", "chords-4000",
+                                      "rainbow-600"])
+    def test_peak_bytes_per_edge(self, case_files, name):
+        inst, sidecar = case_files(name)
+        g = parse_instance(inst.read_text()).graph
+        caps = CapacityMap(*parse_capacity_file(sidecar.read_text()))
         solve(g, caps, 1)
         tracemalloc.start()
         try:

@@ -13,9 +13,10 @@ on:
   (max_n 8, max_edges 20, max_palette 6), and at the targets around the
   fewest reachable components on 300 seeded G(n, p) with n = 10-200;
 * the exit code, stdout and stderr of ``gen``, ``solve --json``,
-  ``certify`` and ``oracle`` on instances shaped like the bench corpora,
-  the rainbow G(600, 0.04), G(1200, 0.0167) and G(2000, 0.01) instances
-  and the path-and-chords instance at n = 4000;
+  ``certify`` and ``oracle`` on named cases of ``tools/cases.py``:
+  instances shaped like the bench corpora, the rainbow G(600, 0.04),
+  G(1200, 0.0167) and G(2000, 0.01) instances, deg20 at n = 4000 and the
+  path-and-chords instance at n = 4000;
 * the same for ``sweep --count`` 0, 1, 7 and 250 at seeds 0-9.
 
 The old tree draws the instances once and both trees solve the same ones.
@@ -41,6 +42,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
+
+import cases
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -126,17 +129,14 @@ json.dump(draw(job) if sys.argv[1] == "draw" else verdicts(job), sys.stdout)
 
 
 class FileCase(NamedTuple):
-    """An instance file and the commands run on it.
+    """A case of ``tools/cases.py``, by name, and the commands run on it.
 
-    ``source`` is the ``capforest gen`` arguments, whose output (from the
-    old tree) becomes the file, or the instance text itself. Each run is a
-    subcommand and its arguments; the file goes after the subcommand and
-    ``--caps`` with the sidecar at the end.
+    A ``gen`` source's output from the old tree becomes the instance file.
+    Each run is a subcommand and its arguments; the file goes after the
+    subcommand and ``--caps`` with the sidecar at the end.
     """
 
     name: str
-    source: tuple[str, ...] | str
-    caps: str
     runs: tuple[tuple[str, ...], ...]
 
 
@@ -147,52 +147,29 @@ class Corpus(NamedTuple):
     sweeps: tuple[tuple[int, int], ...]  # (count, seed)
 
 
-def gnp(n: int, p: float, colors: int, seed: int, *extra: str) -> tuple[str, ...]:
-    return ("--model", "gnp", "--n", str(n), "--p", str(p), "--colors", str(colors),
-            "--seed", str(seed), *extra)
-
-
-def chords(n: int) -> str:
-    """A path of color p, chords (i, i + n/2) of color q with budget 0, and
-    one more p edge to vertex n: m = 1 is impossible, and the forest paths
-    of the chords sum to about n^2 / 4."""
-    lines = [f"graph {n + 1}"]
-    lines += [f"e {i} {i + 1} p" for i in range(n - 1)]
-    lines += [f"e {i} {i + n // 2} q" for i in range(n // 2)]
-    lines.append(f"e 0 {n} p")
-    return "\n".join(lines) + "\n"
-
-
 def solve_at(*ms: int) -> tuple[tuple[str, ...], ...]:
     return tuple(("solve", "-m", str(m), "--json") for m in ms)
 
 
-RAINBOW = "fdefault 1\n"
 CERTIFY = (("certify", "-m", "1", "--colors", "c0", "c1"),)
 FILES = (
-    FileCase("rainbow-100", gnp(100, 0.3, 100, 0), RAINBOW, solve_at(1, 10) + CERTIFY),
-    FileCase("rainbow-140", gnp(140, 0.3, 140, 1), RAINBOW, solve_at(1, 10)),
-    FileCase("factorized-60", ("--model", "complete-factorized", "--n", "60"), RAINBOW,
-             solve_at(1, 10)),
-    FileCase("sparse-rainbow-120", gnp(120, 0.05, 130, 3), RAINBOW, solve_at(1, 10)),
-    FileCase("k-bounded-100", gnp(100, 0.1, 25, 4, "--k", "40"), "fdefault 4\n",
-             solve_at(1, 10)),
+    FileCase("rainbow-100", solve_at(1, 10) + CERTIFY),
+    FileCase("rainbow-140", solve_at(1, 10)),
+    FileCase("factorized-60", solve_at(1, 10)),
+    FileCase("sparse-rainbow-120-seed3", solve_at(1, 10)),
+    FileCase("k-bounded-100", solve_at(1, 10)),
+    FileCase("fewcolor-4-seed9", solve_at(1) + CERTIFY),
+    FileCase("fewcolor-6-seed11", solve_at(1) + CERTIFY),
+    # m = 390 is found short of a spanning tree
+    FileCase("fewcolor-8-seed13", solve_at(1, 390) + CERTIFY),
+    FileCase("palette-40", solve_at(1) + CERTIFY + (("oracle", "-m", "1"),)),
+    FileCase("rainbow-600", solve_at(1)),
+    FileCase("rainbow-1200", solve_at(1)),
+    FileCase("rainbow-2000", solve_at(1)),
+    FileCase("deg20-4000", solve_at(1)),
+    FileCase("chords-4000", solve_at(1)),
     *(
-        FileCase(f"fewcolor-{colors}", gnp(400, 0.3, colors, 5 + colors),
-                 RAINBOW + "".join(f"f c{j} {1 + j % 3}\n" for j in range(colors)),
-                 solve_at(*targets) + CERTIFY)
-        # m = 390 on fewcolor-8 is found short of a spanning tree
-        for colors, targets in ((4, (1,)), (6, (1,)), (8, (1, 390)))
-    ),
-    FileCase("palette-40", gnp(100, 0.3, 40, 6), RAINBOW,
-             solve_at(1) + CERTIFY + (("oracle", "-m", "1"),)),
-    FileCase("rainbow-600", gnp(600, 0.04, 600, 3), RAINBOW, solve_at(1)),
-    FileCase("rainbow-1200", gnp(1200, 0.0167, 1200, 3), RAINBOW, solve_at(1)),
-    FileCase("rainbow-2000", gnp(2000, 0.01, 2000, 3), RAINBOW, solve_at(1)),
-    FileCase("chords-4000", chords(4000), "f p 3999\nf q 0\n", solve_at(1)),
-    *(
-        FileCase(f"small-{seed}", gnp(7, 0.5, 3, seed), "f c0 1\nf c1 2\nf c2 3\n",
-                 solve_at(1, 2, 3) + CERTIFY
+        FileCase(f"small-{seed}", solve_at(1, 2, 3) + CERTIFY
                  + tuple(("oracle", "-m", str(m)) for m in (1, 2, 3)))
         for seed in range(5)
     ),
@@ -231,18 +208,19 @@ def cli_runs(old: Path, corpus: Corpus, work: Path) -> list[tuple[str, list[str]
     becomes the instance file.
     """
     runs = []
-    for case in corpus.files:
-        inst, caps = work / f"{case.name}.txt", work / f"{case.name}.caps"
-        if isinstance(case.source, str):
-            inst.write_text(case.source, encoding="utf-8")
+    for file in corpus.files:
+        source, sidecar = cases.case(file.name)
+        inst, caps = work / f"{file.name}.txt", work / f"{file.name}.caps"
+        if isinstance(source, str):
+            inst.write_text(source, encoding="utf-8")
         else:
-            argv = ["gen", *case.source]
-            runs.append((f"{case.name}: gen", argv))
+            argv = ["gen", *source]
+            runs.append((f"{file.name}: gen", argv))
             inst.write_text(cli(old, argv, work)[1], encoding="utf-8")
-        caps.write_text(case.caps, encoding="utf-8")
-        for command, *rest in case.runs:
+        caps.write_text(sidecar, encoding="utf-8")
+        for command, *rest in file.runs:
             argv = [command, str(inst), *rest, "--caps", str(caps)]
-            runs.append((f"{case.name}: {' '.join([command, *rest])}", argv))
+            runs.append((f"{file.name}: {' '.join([command, *rest])}", argv))
     for count, seed in corpus.sweeps:
         runs.append((f"sweep {count} {seed}", ["sweep", "--count", str(count), "--seed", str(seed)]))
     return runs
