@@ -14,7 +14,6 @@ modules it runs.
 _MODULE_OF = {
     "ColorDensity": "bounds",
     "DensityReport": "bounds",
-    "complete_graph_threshold": "bounds",
     "density_sufficient": "bounds",
     "max_edges_for_components": "bounds",
     "Certificate": "certificates",

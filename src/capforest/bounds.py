@@ -48,12 +48,6 @@ def max_edges_for_components(n: int, s: int) -> int:
     return math.comb(n - s + 1, 2)
 
 
-def complete_graph_threshold(n: int, components: int) -> Fraction:
-    """Per-unit-capacity color bound for complete graphs: n(n-1)/(2(n-m))."""
-    check_component_target(n, components, below_n=True)
-    return Fraction(n * (n - 1), 2 * (n - components))
-
-
 def density_sufficient(
     g: ColoredGraph, caps: CapacityMap, components: int
 ) -> DensityReport:

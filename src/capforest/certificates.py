@@ -20,6 +20,7 @@ is :func:`~capforest.graph.component_count`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import chain, combinations
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, OracleLimitError
@@ -129,24 +130,18 @@ def _color_sets(
     """Every subset ``R`` of the palette, with ``omega(G - E_R)`` and ``f(R)``.
 
     Yields ``(R, components left after deleting R's edges, R's capacity
-    total)`` in lexicographic order over the sorted palette: ``()``,
-    ``(a,)``, ``(a, b)``, ``(a, b, c)``, ``(a, c)``, ``(b,)``, ... Palettes
-    beyond ``ORACLE_MAX_PALETTE`` colors are refused at the call, before
-    anything is yielded.
+    total)``, each count computed as its subset is read, in the sorted
+    order of the increasing color tuples, which is the depth-first order
+    over the sorted palette: ``()``, ``(a,)``, ``(a, b)``, ``(a, b, c)``,
+    ``(a, c)``, ``(b,)``, ... Palettes beyond ``ORACLE_MAX_PALETTE`` colors
+    are refused at the call, before anything is yielded.
     """
     check_palette_limit(g)
     colors = g.sorted_palette()
-    prefix: list[str] = []
-
-    def rec(start: int) -> Iterator[tuple[tuple[str, ...], int, int]]:
-        subset = tuple(prefix)
-        yield subset, component_count(g, subset), caps.total(subset)
-        for i in range(start, len(colors)):
-            prefix.append(colors[i])
-            yield from rec(i + 1)
-            prefix.pop()
-
-    return rec(0)
+    subsets = sorted(
+        chain.from_iterable(combinations(colors, k) for k in range(len(colors) + 1))
+    )
+    return ((r, component_count(g, r), caps.total(r)) for r in subsets)
 
 
 def oracle_condition(

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import complete_graph_threshold, density_sufficient
+from .bounds import density_sufficient
 from .certificates import oracle_fewest_components, oracle_forest_search
 from .engine import solve, solve_every_target
 from .errors import InternalSolverError, PreconditionError
@@ -103,38 +102,30 @@ def density_guarantee_instance(
 ) -> tuple[ColoredGraph, CapacityMap, int]:
     """Instance that provably passes the density check.
 
-    Every fourth instance is a complete graph colored by perfect matchings
-    with the minimal capacities the complete-graph threshold allows; the
-    rest are complete graphs with uniform random colorings and capacities
-    scaled up to the rational bound.
+    Every fourth instance is a complete graph colored by perfect matchings,
+    the rest complete graphs with uniform random colorings. Both get one
+    budget rule: each color's budget is the least ``f`` with
+    ``g(c) * (n - m) <= |E| * f``, the paper's bound
+    ``g(c) <= |E| / (n - m) * f(c)`` cross-multiplied.
     """
     if index % 4 == 0:
         n = (4, 6, 8, 10)[(index // 4) % 4]
         g = generate(GenSpec(seed=rng.getrandbits(32), n=n, model="complete_factorized"))
         components = rng.randint(1, n - 1)
-        threshold = complete_graph_threshold(n, components)
-        census = color_census(g)
-        caps = CapacityMap(
-            {c: math.ceil(Fraction(census[c]) / threshold) for c in sorted(census)}
+    else:
+        n = rng.randint(3, 8)
+        components = rng.randint(1, min(3, n - 1))
+        g = generate(
+            GenSpec(
+                seed=rng.getrandbits(32),
+                n=n,
+                model="complete",
+                palette_size=rng.randint(1, 4),
+            )
         )
-        return g, caps, components
-    n = rng.randint(3, 8)
-    components = rng.randint(1, min(3, n - 1))
-    g = generate(
-        GenSpec(
-            seed=rng.getrandbits(32),
-            n=n,
-            model="complete",
-            palette_size=rng.randint(1, 4),
-        )
-    )
     census = color_census(g)
-    edge_count = len(g.edges)
     caps = CapacityMap(
-        {
-            c: math.ceil(Fraction(census[c] * (n - components), edge_count))
-            for c in sorted(census)
-        }
+        {c: -(-census[c] * (n - components) // len(g.edges)) for c in sorted(census)}
     )
     return g, caps, components
 

@@ -10,7 +10,6 @@ from capforest import (
     Forest,
     PreconditionError,
     color_census,
-    complete_graph_threshold,
     component_count,
     density_sufficient,
     max_edges_for_components,
@@ -70,24 +69,6 @@ class TestMaxEdgesForComponents:
                 g = clique_plus_isolated(n, s)
                 assert component_count(g) == s
                 assert len(g.edges) == max_edges_for_components(n, s)
-
-
-class TestCompleteGraphThreshold:
-    def test_k5_single_component(self):
-        assert complete_graph_threshold(5, 1) == Fraction(5, 2)
-
-    def test_k2(self):
-        assert complete_graph_threshold(2, 1) == 1
-
-    def test_half_order_at_k6(self):
-        # for one component the bound is n/2, here exactly 3
-        assert complete_graph_threshold(6, 1) == 3
-
-    def test_range_validation(self):
-        with pytest.raises(PreconditionError):
-            complete_graph_threshold(5, 5)
-        with pytest.raises(PreconditionError):
-            complete_graph_threshold(5, 0)
 
 
 class TestDensitySufficient:
@@ -150,12 +131,13 @@ class TestDensitySufficient:
         with pytest.raises(PreconditionError):
             density_sufficient(g, CapacityMap.uniform(1), 3)
 
-    def test_per_color_bound_matches_complete_graph_threshold(self):
+    def test_per_color_bound_on_complete_graphs(self):
+        # on K_n the bound per unit of budget is n(n-1) / (2(n-m))
         for n, m, seed in [(5, 1, 11), (6, 2, 12), (7, 3, 13)]:
             g = complete_uniform(n, 3, seed)
             caps = CapacityMap({c: 2 for c in g.sorted_palette()})
             report = density_sufficient(g, caps, m)
-            expected = complete_graph_threshold(n, m)
+            expected = Fraction(n * (n - 1), 2 * (n - m))
             for color in g.sorted_palette():
                 assert report.per_color[color].bound == expected * caps.cap(color)
 

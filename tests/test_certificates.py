@@ -19,7 +19,11 @@ from capforest import (
     solve,
     sweeps,
 )
-from capforest.certificates import extract_certificate, oracle_fewest_components
+from capforest.certificates import (
+    _color_sets,
+    extract_certificate,
+    oracle_fewest_components,
+)
 from capforest.engine import ExchangeGraph
 from capforest.generators import GenSpec, generate
 from capforest.sweeps import sample_solver_instance
@@ -203,6 +207,53 @@ class TestOracleCondition:
             oracle_condition(ColoredGraph(0), CapacityMap.uniform(1), 1)
         with pytest.raises(PreconditionError, match="must be in 1..2, got 3"):
             oracle_condition(ColoredGraph(2), CapacityMap.uniform(1), 3)
+
+
+class TestColorSets:
+    """The subset order that ``capforest oracle`` prints its first violator in."""
+
+    @staticmethod
+    def subsets(g):
+        return [subset for subset, _, _ in _color_sets(g, CapacityMap.uniform(1))]
+
+    def test_three_colors(self):
+        g = ColoredGraph(4, [(0, 1, "a"), (1, 2, "b"), (2, 3, "c")])
+        assert self.subsets(g) == [
+            (),
+            ("a",),
+            ("a", "b"),
+            ("a", "b", "c"),
+            ("a", "c"),
+            ("b",),
+            ("b", "c"),
+            ("c",),
+        ]
+
+    def test_string_order_puts_c10_before_c2(self):
+        g = ColoredGraph(3, [(0, 1, "c2"), (1, 2, "c10")])
+        assert self.subsets(g) == [(), ("c10",), ("c10", "c2"), ("c2",)]
+
+    def test_every_subset_once_in_increasing_order_with_its_counts(self):
+        for index in range(200):
+            rng = random.Random(f"color-sets:{index}")
+            k = rng.randint(0, 6)
+            n = rng.randint(4, 7)  # at least 6 pairs, one per color
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            count = rng.randint(k, min(12, len(pairs))) if k else 0
+            # the first k edges put every one of the k colors on the graph
+            colors = [f"c{j}" for j in range(k)]
+            colors += [rng.choice(colors) for _ in range(count - k)]
+            g = ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, colors)])
+            caps = CapacityMap({c: rng.randint(0, 3) for c in g.palette})
+            rows = list(_color_sets(g, caps))
+            subsets = [subset for subset, _, _ in rows]
+            assert len(subsets) == 2**k, index
+            assert set(subsets) == set(helpers.all_color_subsets(g.palette)), index
+            assert all(a < b for a, b in zip(subsets, subsets[1:])), index
+            for subset, remaining, spent in rows:
+                assert remaining == helpers.components_without_colors(g, subset)
+                assert spent == sum(caps.cap(c) for c in subset)
 
 
 class TestOracleForestSearch:

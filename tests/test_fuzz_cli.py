@@ -195,17 +195,21 @@ def check_verdict(expected, code, out):
 
 
 def test_every_run_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
-    # mutated paths such as "x" are relative: keep what they write in tmp_path
-    monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
-    inst, caps = tmp_path / "inst.txt", tmp_path / "caps.txt"
-    paths = [str(inst), str(caps), str(tmp_path), str(tmp_path / "missing.txt")]
     codes = set()
     for index in range(RUNS):
+        # a fresh directory per run, so no run truncates a file that an
+        # earlier run wrote (slow on some file systems); mutated relative
+        # paths such as "x" land there too
+        run_dir = tmp_path / f"run{index}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        inst, caps = run_dir / "inst.txt", run_dir / "caps.txt"
+        paths = [str(inst), str(caps), str(run_dir), str(run_dir / "missing.txt")]
         n = rng.randint(1, 6)
         inst.write_bytes(mutate(rng, base_instance(rng, n)))
         caps.write_bytes(mutate(rng, "fdefault 1\nf c0 2\n"))
-        argv = mutate_argv(rng, base_argv(rng, inst, caps, tmp_path, n), paths)
+        argv = mutate_argv(rng, base_argv(rng, inst, caps, run_dir, n), paths)
         expected = solve_expectation(argv) if argv[0] == "solve" else None
         code, out, err = run(argv, capsys)
         try:

@@ -293,8 +293,13 @@ class TestForest:
                 return True
 
         monkeypatch.setattr(graph, "DisjointSet", NoMerge)
-        with pytest.raises(InternalSolverError):
+        with pytest.raises(InternalSolverError) as info:
             Forest(triangle(), (0,))
+        assert str(info.value) == "1 edges left 3 components on 3 vertices"
+        path = ColoredGraph(3, [(0, 1, "a"), (1, 2, "b")])
+        with pytest.raises(InternalSolverError) as info:
+            Forest(path, (0, 1))
+        assert str(info.value) == "2 edges left 3 components on 3 vertices"
 
 
 @st.composite

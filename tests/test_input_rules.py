@@ -13,7 +13,6 @@ from capforest import (
     GenSpec,
     GraphConstructionError,
     PreconditionError,
-    complete_graph_threshold,
     density_sufficient,
     evaluate_condition,
     generate,
@@ -37,7 +36,6 @@ ENTRY_POINTS = {
     "evaluate_condition": (lambda g, m: evaluate_condition(g, CAPS, m, []), 0),
     "oracle_condition": (lambda g, m: oracle_condition(g, CAPS, m), 0),
     "max_edges_for_components": (lambda g, m: max_edges_for_components(g.n, m), 0),
-    "complete_graph_threshold": (lambda g, m: complete_graph_threshold(g.n, m), -1),
     "density_sufficient": (lambda g, m: density_sufficient(g, CAPS, m), -1),
 }
 
@@ -55,10 +53,6 @@ VERTEX_COUNT_ENTRY_POINTS = {
     ),
     "max_edges_for_components": (
         lambda n: max_edges_for_components(n, 1),
-        PreconditionError,
-    ),
-    "complete_graph_threshold": (
-        lambda n: complete_graph_threshold(n, 1),
         PreconditionError,
     ),
 }

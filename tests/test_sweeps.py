@@ -6,9 +6,13 @@ instance stream checks the failure counts, the first failing key and the
 exit code of a ``sweep`` that hits a solver bug.
 """
 
+import hashlib
+import json
+import math
+
 import pytest
 
-from capforest import Forest, cli, sweeps
+from capforest import Forest, cli, color_census, sweeps
 from capforest.errors import InternalSolverError
 
 
@@ -144,3 +148,35 @@ def test_density_instance_that_fails_its_check_is_an_internal_error(monkeypatch)
     assert str(info.value) == (
         "sweep instance 2:density:0 was built to pass the density check"
     )
+
+
+# sha256 of the density law's instances at seed 0, indices 0-249
+DENSITY_STREAM_SHA256 = "b2895ae757dd21a02719768375dde37a86a950391859e6a78bbe38bbeb7527a2"
+
+
+class TestDensityInstances:
+    @staticmethod
+    def instance(index):
+        rng, _ = sweeps._instance_rng(0, "density", index)
+        return sweeps.density_guarantee_instance(rng, index)
+
+    def test_stream_is_pinned(self):
+        rows = []
+        for index in range(250):
+            g, caps, m = self.instance(index)
+            edges = [list(e) for e in g.edges]
+            rows.append([g.n, edges, sorted(caps.assignments.items()), m])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == DENSITY_STREAM_SHA256
+
+    def test_budgets_are_the_least_the_density_bound_allows(self):
+        # every fourth instance is matching-colored, the rest uniformly
+        for index in range(200):
+            g, caps, m = self.instance(index)
+            assert len(g.edges) == math.comb(g.n, 2), index
+            census = color_census(g)
+            assert sorted(caps.assignments) == sorted(census), index
+            for color, observed in census.items():
+                f = caps.cap(color)
+                assert observed * (g.n - m) <= len(g.edges) * f, (index, color)
+                assert observed * (g.n - m) > len(g.edges) * (f - 1), (index, color)
