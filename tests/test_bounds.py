@@ -71,6 +71,30 @@ class TestMaxEdgesForComponents:
                 assert len(g.edges) == max_edges_for_components(n, s)
 
 
+class TestCompleteGraphRatio:
+    """On K_n the density ratio |E| / (n - m) is n(n-1) / (2(n-m))."""
+
+    @staticmethod
+    def ratio(n, m):
+        return density_sufficient(complete_uniform(n, 1, 0), CapacityMap.uniform(1), m).ratio
+
+    def test_k5_single_component(self):
+        assert self.ratio(5, 1) == Fraction(5, 2)
+
+    def test_k2(self):
+        assert self.ratio(2, 1) == 1
+
+    def test_half_order_at_k6(self):
+        # for one component the ratio is n/2, here exactly 3
+        assert self.ratio(6, 1) == 3
+
+    def test_range_validation(self):
+        with pytest.raises(PreconditionError):
+            self.ratio(5, 5)
+        with pytest.raises(PreconditionError):
+            self.ratio(5, 0)
+
+
 class TestDensitySufficient:
     def test_k5_with_small_color_classes_is_guaranteed(self):
         # K5, every color on at most 2 edges, unit budgets

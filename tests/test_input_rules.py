@@ -21,6 +21,7 @@ from capforest import (
     prune_to_components,
     solve,
 )
+from capforest.graph import check_component_target, check_vertex_count
 
 CAPS = CapacityMap.uniform(1)
 
@@ -29,8 +30,14 @@ def prune_spanning(g: ColoredGraph, m):
     return prune_to_components(Forest(g, range(len(g.edges))), m)
 
 
-# name -> (call with a graph and a target, largest valid target minus n)
+# name -> (call with a graph and a target, largest valid target minus n);
+# the rule's own function is a row too, so its ``below_n`` form is checked
+# apart from the one entry point that uses it
 ENTRY_POINTS = {
+    "check_component_target": (
+        lambda g, m: check_component_target(g.n, m, below_n=True),
+        -1,
+    ),
     "solve": (lambda g, m: solve(g, CAPS, m), 0),
     "prune_to_components": (prune_spanning, 0),
     "evaluate_condition": (lambda g, m: evaluate_condition(g, CAPS, m, []), 0),
@@ -46,6 +53,7 @@ def red_blue_path() -> ColoredGraph:
 
 # name -> (call with a vertex count, the error type it refuses a bad one with)
 VERTEX_COUNT_ENTRY_POINTS = {
+    "check_vertex_count": (check_vertex_count, PreconditionError),
     "ColoredGraph": (ColoredGraph, GraphConstructionError),
     "generate": (
         lambda n: generate(GenSpec(0, n, p=0.5, palette_size=2)),
