@@ -222,6 +222,47 @@ class TestSolveCommand:
         sidecar.write_text("f a 2\n")
         assert cli.main(["solve", str(instance), "-m", "1", "--caps", str(sidecar)]) == 0
 
+    # inline lines, sidecar lines ("" runs without --caps), exit code
+    @pytest.mark.parametrize(
+        "inline, sidecar, expected_code",
+        [
+            ("f a 2\n", "", 0),
+            ("f a 2\n", "f a 1\n", 1),
+            ("fdefault 2\n", "f b 0\n", 0),
+            ("fdefault 1\n", "fdefault 2\n", 0),
+            ("f a 1\n", "fdefault 5\n", 1),
+            ("", "f a 2\n", 0),
+            ("", "f b 1\n", 2),
+        ],
+        ids=[
+            "inline-only",
+            "sidecar-entry-wins",
+            "inline-default-survives",
+            "sidecar-default-wins",
+            "inline-entry-beats-sidecar-default",
+            "sidecar-only",
+            "no-budget-for-a",
+        ],
+    )
+    def test_budget_merge_rule(self, tmp_path, capsys, inline, sidecar, expected_code):
+        instance = tmp_path / "inst.txt"
+        instance.write_text("graph 3\n" + inline + "e 0 1 a\ne 1 2 a\n")
+        argv = ["solve", str(instance), "-m", "1", "--json"]
+        if sidecar:
+            caps = tmp_path / "caps.txt"
+            caps.write_text(sidecar)
+            argv += ["--caps", str(caps)]
+        assert cli.main(argv) == expected_code
+        captured = capsys.readouterr()
+        if expected_code == 2:
+            assert captured.out == ""
+            assert captured.err == (
+                "error: no capacity assigned to color 'a' and no default set\n"
+            )
+        else:
+            assert captured.err == ""
+            assert json.loads(captured.out)["exists"] is (expected_code == 0)
+
     def test_dot_output(self, triangle_file, tmp_path, capsys):
         dot = tmp_path / "out.dot"
         assert cli.main(["solve", triangle_file, "-m", "1", "--dot", str(dot)]) == 0
