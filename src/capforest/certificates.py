@@ -20,7 +20,7 @@ is :func:`~capforest.graph.component_count`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain, combinations
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import InternalSolverError, OracleLimitError
@@ -130,17 +130,18 @@ def _color_sets(
     """Every subset ``R`` of the palette, with ``omega(G - E_R)`` and ``f(R)``.
 
     Yields ``(R, components left after deleting R's edges, R's capacity
-    total)``, each count computed as its subset is read, in the sorted
-    order of the increasing color tuples, which is the depth-first order
-    over the sorted palette: ``()``, ``(a,)``, ``(a, b)``, ``(a, b, c)``,
-    ``(a, c)``, ``(b,)``, ... Palettes beyond ``ORACLE_MAX_PALETTE`` colors
+    total)``, each built and counted as it is read, in the sorted order of
+    the increasing color tuples, which is the depth-first order over the
+    sorted palette: ``()``, ``(a,)``, ``(a, b)``, ``(a, b, c)``, ``(a, c)``,
+    ``(b,)``, ... The combinations of each size already come in that order,
+    so merging them keeps it. Palettes beyond ``ORACLE_MAX_PALETTE`` colors
     are refused at the call, before anything is yielded.
     """
+    from heapq import merge  # here, so an impossible solve does not load it
+
     check_palette_limit(g)
     colors = g.sorted_palette()
-    subsets = sorted(
-        chain.from_iterable(combinations(colors, k) for k in range(len(colors) + 1))
-    )
+    subsets = merge(*(combinations(colors, k) for k in range(len(colors) + 1)))
     return ((r, component_count(g, r), caps.total(r)) for r in subsets)
 
 

@@ -29,11 +29,10 @@ MAX_VERTICES = 10**6
 
 
 class Instance(NamedTuple):
-    """A parsed instance file: the graph plus its inline capacities."""
+    """A parsed instance file: the graph and its inline budgets, maybe none."""
 
     graph: ColoredGraph
-    capacities: dict[str, int]
-    default_capacity: int | None
+    capacities: CapacityMap
 
 
 def _int_field(token: str, what: str, where: str) -> int:
@@ -151,7 +150,8 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
 
     if n is None:
         raise InstanceParseError(f"{source}: missing 'graph <n>' header")
-    return Instance(_edge_graph(n, edges, edge_lines, source), caps, default)
+    graph = _edge_graph(n, edges, edge_lines, source)
+    return Instance(graph, CapacityMap(caps, default))
 
 
 def _edge_graph(n: int, edges: list, lines: list[int], source: str) -> ColoredGraph:
@@ -162,10 +162,8 @@ def _edge_graph(n: int, edges: list, lines: list[int], source: str) -> ColoredGr
         raise InstanceParseError(f"{source}:{lines[exc.index]}: {exc}") from None
 
 
-def parse_capacity_file(
-    text: str, source: str = "<capacities>"
-) -> tuple[dict[str, int], int | None]:
-    """Parse a capacity sidecar; returns (assignments, default)."""
+def parse_capacity_file(text: str, source: str = "<capacities>") -> CapacityMap:
+    """Parse a capacity sidecar of ``f`` and ``fdefault`` lines."""
     caps: dict[str, int] = {}
     default: int | None = None
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -180,21 +178,18 @@ def parse_capacity_file(
             raise InstanceParseError(
                 f"{where}: unknown directive {word!r} in capacity file"
             )
-    return caps, default
+    return CapacityMap(caps, default)
 
 
 def resolve_capacities(
-    instance: Instance, sidecar: tuple[dict[str, int], int | None] | None = None
+    instance: Instance, sidecar: CapacityMap | None = None
 ) -> CapacityMap:
-    """Merge inline and sidecar capacities; sidecar entries win per color."""
-    caps = dict(instance.capacities)
-    default = instance.default_capacity
-    if sidecar is not None:
-        side_caps, side_default = sidecar
-        caps.update(side_caps)
-        if side_default is not None:
-            default = side_default
-    return CapacityMap(caps, default=default)
+    """Inline capacities; a sidecar's entries, and its default if set, win."""
+    inline = instance.capacities
+    if sidecar is None:
+        return inline
+    default = inline.default if sidecar.default is None else sidecar.default
+    return CapacityMap({**inline.assignments, **sidecar.assignments}, default)
 
 
 def emit_instance(graph: ColoredGraph) -> str:

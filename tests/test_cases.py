@@ -41,6 +41,7 @@ TEXT_SHA256 = {
     "small-2": "f2fd4837dd00b22639557c5b79923f64115b4e72f8aa344f62aae8320c3469a4",
     "small-3": "75f442307249261605457cb57f078ba5a3e81b12af7d22e99c85db5186ba6cf5",
     "small-4": "61dcf252f04b527985cf13e0e8cdd00426da6ce3ff7f79eea2f31c8609073e91",
+    "star-16": "04c609878833bb1a282e5d07e496a9a4aec17372b3718f70ddb2f3ca5bf63e3d",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -178,6 +179,21 @@ class TestOracleCondition:
         g = ColoredGraph(3, [(0, 1, "a")])
         cert = oracle_condition(g, CapacityMap({"a": 1}), 1)
         assert cert is not None and cert.violating == frozenset()
+
+    def test_early_violator_reads_no_further_subsets(self):
+        # a 16-color star plus an isolated vertex: () already violates at m = 1,
+        # so the call must not build the 65,536 subsets first (6.9 MB when it did)
+        g = ColoredGraph(18, [(0, j + 1, f"c{j}") for j in range(16)])
+        caps = CapacityMap.uniform(1)
+        oracle_condition(g, caps, 1)
+        tracemalloc.start()
+        try:
+            cert = oracle_condition(g, caps, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert is not None and cert.violating == frozenset()
+        assert peak < 64 * 1024, f"{peak} bytes"
 
     def test_returns_lexicographically_first_violator(self):
         # two single-color paths, each too long for its budget; "a" < "b"

@@ -434,7 +434,7 @@ class TestMemoryLaw:
     def test_peak_bytes_per_edge(self, case_files, name):
         inst, sidecar = case_files(name)
         g = parse_instance(inst.read_text()).graph
-        caps = CapacityMap(*parse_capacity_file(sidecar.read_text()))
+        caps = parse_capacity_file(sidecar.read_text())
         solve(g, caps, 1)
         tracemalloc.start()
         try:

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capforest import (
+    CapacityMap,
     ColoredGraph,
     Forest,
     InstanceParseError,
@@ -42,8 +43,7 @@ class TestParseInstance:
             (1, 2, "b"),
             (2, 0, "c"),
         ]
-        assert inst.capacities == {"a": 1, "b": 2}
-        assert inst.default_capacity == 1
+        assert inst.capacities == CapacityMap({"a": 1, "b": 2}, 1)
 
     def test_missing_header(self):
         with pytest.raises(InstanceParseError, match="missing 'graph"):
@@ -97,12 +97,12 @@ class TestParseInstance:
         inst = parse_instance("graph 3  # three\ne 0 1 a # first\nf a 1 #\n")
         assert inst.graph.n == 3
         assert [tuple(e) for e in inst.graph.edges] == [(0, 1, "a")]
-        assert inst.capacities == {"a": 1}
+        assert inst.capacities == CapacityMap({"a": 1})
 
     def test_hash_inside_a_token_is_not_a_comment(self):
         inst = parse_instance("graph 2\ne 0 1 a#b\nf a#b 2\n")
         assert inst.graph.edges[0].color == "a#b"
-        assert inst.capacities == {"a#b": 2}
+        assert inst.capacities == CapacityMap({"a#b": 2})
 
     @pytest.mark.parametrize(
         "text, message",
@@ -179,7 +179,7 @@ class TestParseInstance:
         assert str(info.value) == "ff.txt:2: vertex out of range 0..1"
         inst = parse_instance(f"graph 2\ne 0{sep}1 a{sep}\nf a{sep}1\n")
         assert [tuple(e) for e in inst.graph.edges] == [(0, 1, "a")]
-        assert inst.capacities == {"a": 1}
+        assert inst.capacities == CapacityMap({"a": 1})
         with pytest.raises(InstanceParseError) as info:
             parse_capacity_file(f"f a 1{sep}\nf a 2\n", source="c.txt")
         assert str(info.value) == "c.txt:2: duplicate capacity for color 'a'"
@@ -191,7 +191,7 @@ class TestParseInstance:
             parse_instance(newline.join(["graph 3", "", "e 0 3 a", ""]), source="f.txt")
         assert str(info.value) == "f.txt:3: vertex out of range 0..2"
         text = newline.join(["f a 1", "fdefault 2", ""])
-        assert parse_capacity_file(text) == ({"a": 1}, 2)
+        assert parse_capacity_file(text) == CapacityMap({"a": 1}, 2)
 
     def test_solve_reports_the_line_of_the_file(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "ff.txt").write_bytes(b"graph 2\x0c\ne 0 5 a\n")
@@ -215,8 +215,7 @@ class TestReadmeExample:
             (1, 2, "red"),
             (2, 3, "blue"),
         ]
-        assert inst.capacities == {"red": 1}
-        assert inst.default_capacity == 2
+        assert inst.capacities == CapacityMap({"red": 1}, 2)
 
     def test_solves_from_the_command_line(self, tmp_path, capsys):
         path = tmp_path / "readme_ex.txt"
@@ -263,8 +262,7 @@ class TestRoundTrip:
         graph = parse_instance(SAMPLE).graph
         again = parse_instance(emit_instance(graph))
         assert again.graph == graph
-        assert again.capacities == {}
-        assert again.default_capacity is None
+        assert again.capacities == CapacityMap({}, None)
 
     @pytest.mark.parametrize("color", ["#x", "a b", ""])
     def test_emit_rejects_colors_that_would_not_read_back(self, color):
@@ -294,7 +292,9 @@ class TestCapacityResolution:
             parse_capacity_file("e 0 1 a\n")
 
     def test_capacity_file_strips_trailing_comments(self):
-        assert parse_capacity_file("f a 1 # one\nfdefault 2 #\n") == ({"a": 1}, 2)
+        assert parse_capacity_file("f a 1 # one\nfdefault 2 #\n") == CapacityMap(
+            {"a": 1}, 2
+        )
 
     def test_capacity_file_rejects_duplicates(self):
         with pytest.raises(InstanceParseError, match="duplicate capacity"):

@@ -267,14 +267,14 @@ PLAIN_DATA = {
         "first_failing_key='0:bounded:3')",
     ),
     "Instance": (
-        lambda: Instance(ColoredGraph(1), {"a": 1}, None),
-        lambda: Instance(graph=ColoredGraph(1), capacities={"a": 1}, default_capacity=None),
-        lambda: Instance(ColoredGraph(1), {"a": 1}, 0),
+        lambda: Instance(ColoredGraph(1), CapacityMap({"a": 1}, None)),
+        lambda: Instance(graph=ColoredGraph(1), capacities=CapacityMap({"a": 1})),
+        lambda: Instance(ColoredGraph(1), CapacityMap({"a": 1}, 0)),
         "Instance(graph=ColoredGraph(n=1, edges=()), "
-        "capacities={'a': 1}, default_capacity=None)",
+        "capacities=CapacityMap(assignments={'a': 1}, default=None))",
     ),
 }
-UNHASHABLE = {"DensityReport", "Instance"}  # they hold a dict
+UNHASHABLE = {"DensityReport", "Instance"}  # a dict, or a CapacityMap holding one
 
 
 @pytest.fixture(params=sorted(PLAIN_DATA))

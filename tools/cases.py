@@ -64,6 +64,13 @@ def deg20(n: int, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
+def star(colors: int) -> str:
+    """A star of ``colors`` edges colored c0, c1, ... and one isolated vertex."""
+    lines = [f"graph {colors + 2}"]
+    lines += [f"e 0 {j + 1} c{j}" for j in range(colors)]
+    return "\n".join(lines) + "\n"
+
+
 def fewcolor_caps(colors: int) -> str:
     """Budgets 1-3 on c0..c{colors - 1}, the impossible-fewcolor bench shape."""
     return RAINBOW + "".join(f"f c{j} {1 + j % 3}\n" for j in range(colors))
@@ -109,6 +116,8 @@ CASES: dict[str, Callable[[], Case]] = {
     "small-2": lambda: Case(gnp(7, 0.5, 3, 2), SMALL),
     "small-3": lambda: Case(gnp(7, 0.5, 3, 3), SMALL),
     "small-4": lambda: Case(gnp(7, 0.5, 3, 4), SMALL),
+    # the oracles' palette limit: the empty color set violates m = 1, none m = 2
+    "star-16": lambda: Case(star(16), RAINBOW),
 }
 
 

@@ -15,8 +15,9 @@ on:
 * the exit code, stdout and stderr of ``gen``, ``solve --json``,
   ``certify`` and ``oracle`` on named cases of ``tools/cases.py``:
   instances shaped like the bench corpora, the rainbow G(600, 0.04),
-  G(1200, 0.0167) and G(2000, 0.01) instances, deg20 at n = 4000 and the
-  path-and-chords instance at n = 4000;
+  G(1200, 0.0167) and G(2000, 0.01) instances, deg20 at n = 4000, the
+  path-and-chords instance at n = 4000 and the 16-color star at the
+  oracles' palette limit;
 * the same for ``sweep --count`` 0, 1, 7 and 250 at seeds 0-9.
 
 The old tree draws the instances once and both trees solve the same ones.
@@ -173,6 +174,8 @@ FILES = (
                  + tuple(("oracle", "-m", str(m)) for m in (1, 2, 3)))
         for seed in range(5)
     ),
+    # every subset of 16 colors: -m 1 stops at the first, -m 2 reads them all
+    FileCase("star-16", solve_at(1, 2) + (("oracle", "-m", "1"), ("oracle", "-m", "2"))),
 )
 FULL = Corpus(
     range(3000),
