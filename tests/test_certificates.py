@@ -182,7 +182,7 @@ class TestOracleCondition:
 
     def test_early_violator_reads_no_further_subsets(self):
         # a 16-color star plus an isolated vertex: () already violates at m = 1,
-        # so the call must not build the 65,536 subsets first (6.9 MB when it did)
+        # so the call must not build the 65,536 subsets first (5.6 MB when it did)
         g = ColoredGraph(18, [(0, j + 1, f"c{j}") for j in range(16)])
         caps = CapacityMap.uniform(1)
         oracle_condition(g, caps, 1)

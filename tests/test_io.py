@@ -292,9 +292,8 @@ class TestCapacityResolution:
             parse_capacity_file("e 0 1 a\n")
 
     def test_capacity_file_strips_trailing_comments(self):
-        assert parse_capacity_file("f a 1 # one\nfdefault 2 #\n") == CapacityMap(
-            {"a": 1}, 2
-        )
+        text = "f a 1 # one\nfdefault 2 #\n"
+        assert parse_capacity_file(text) == CapacityMap({"a": 1}, 2)
 
     def test_capacity_file_rejects_duplicates(self):
         with pytest.raises(InstanceParseError, match="duplicate capacity"):
